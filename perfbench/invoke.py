@@ -6,7 +6,8 @@ The CLI output goes to stdout exactly as `python -m wavesched.cli` writes it,
 and a JSON summary goes to SUMMARY.json.
 
 - `count` wraps only `engine.simulate`, to add up the length of every trace
-  it returns (a few calls per run, so the timing stays that of the CLI).
+  it returns (a few calls per run, so the timing stays that of the CLI),
+  and samples the host's speed while the command runs (`HostProbe`).
 - `trace` adds spans around the public entry points of every module, counts
   `Platform.cores` accesses and events by kind, and checks each trace's
   conservation rules; the summary holds per-span calls and self time.
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import statistics
 import sys
 import time
 from collections import Counter
@@ -34,6 +37,54 @@ POLICY_CALLBACKS = (
     "filter_stage_start",
     "on_filter_ctu_complete",
 )
+
+PROBE_INTERVAL_S = 0.05
+_PROBE_TABLE = {k: k for k in range(40000)}
+_PROBE_KEYS = tuple(range(0, 40000, 97))
+
+
+def _probe_work() -> int:
+    """A fixed slice of pure-Python work: integer arithmetic, then dict lookups."""
+    s = 0
+    for i in range(3000):
+        s += i * i % 7
+    table = _PROBE_TABLE
+    for _ in range(6):
+        for k in _PROBE_KEYS:
+            s += table[k]
+    return s
+
+
+class HostProbe:
+    """Times `_probe_work` every PROBE_INTERVAL_S of wall time, in this process.
+
+    The host this runs on is shared, and its speed for this process comes and
+    goes by tens of percent within seconds. A SIGALRM handler runs the probe
+    between bytecodes of the command under test, on the same core and in the
+    same stretch of time, so the median probe time says how fast the host was
+    while the command ran. The probe touches nothing of the command's state.
+    """
+
+    def __init__(self):
+        self.samples: list[float] = []
+
+    def _sample(self, signum, frame) -> None:
+        t0 = time.perf_counter()
+        _probe_work()
+        self.samples.append(time.perf_counter() - t0)
+
+    def start(self) -> None:
+        signal.signal(signal.SIGALRM, self._sample)
+        signal.setitimer(signal.ITIMER_REAL, PROBE_INTERVAL_S, PROBE_INTERVAL_S)
+
+    def stop(self) -> dict:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        return {
+            "n": len(self.samples),
+            "median_s": statistics.median(self.samples) if self.samples else None,
+            "total_s": sum(self.samples),
+        }
 
 
 class Tracer:
@@ -183,6 +234,9 @@ def _install_count(engine) -> list[int]:
 
 def main(argv: list[str]) -> int:
     mode, summary_path, cli_args = argv[0], argv[1], argv[2:]
+    probe = HostProbe()
+    if mode == "count":
+        probe.start()
     t0 = time.perf_counter()
     from wavesched import analysis, cli, engine, platform, policies, wpp_graph
     import_s = time.perf_counter() - t0
@@ -190,7 +244,10 @@ def main(argv: list[str]) -> int:
 
     if mode == "count":
         events = _install_count(engine)
-        status = cli.main(cli_args)
+        try:
+            status = cli.main(cli_args)
+        finally:
+            summary["probe"] = probe.stop()
         summary["events"] = events[0]
     else:
         tracer = Tracer()

@@ -19,6 +19,11 @@ Run from the repository root. One run of a workload does, in order:
    count`), until the rounds add up to --seconds (and at least MIN_TIMED
    invocations and SETUP_REPS repetitions).
 
+Host times are scaled to a reference host speed: each untraced invocation
+samples the host's speed while it runs (`invoke.HostProbe`), and its time,
+and that of its round's set-up repetitions, is multiplied by
+PROBE_REF_S / (the invocation's median probe time). See README.md.
+
 Every invocation's output is checked and hashed; see README.md for the rules
 and for what each metric means. Human-readable lines come first; the last
 line of stdout is one JSON object with `correct`, `attempted`, `failed` and
@@ -45,7 +50,7 @@ import tempfile
 import threading
 import time
 
-from invoke import POLICY_CALLBACKS
+from invoke import POLICY_CALLBACKS, PROBE_INTERVAL_S
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -59,6 +64,10 @@ RUN_BUDGET_S = 170.0  # every child is killed before the run reaches this
 UTILIZATION_MAX = 1.0
 IDENTITY_RTOL = 1e-9
 COVERAGE_MIN = 0.95  # traced self times must cover this share of traced wall_s
+# Median time of one `invoke._probe_work` on the reference host (Xeon, 2 vCPUs,
+# Python 3.11.7); host times are reported as if measured at that speed.
+PROBE_REF_S = 500e-6
+MIN_PROBES = 20  # probe samples an invocation needs for its speed to count
 
 REFERENCE_GRID_CTUS = 17 * 30  # the grid paper-repro compares the board table on
 MODELLED_POLICIES = ("big-os", "little", "static", "affinity")
@@ -393,13 +402,20 @@ def run(workload: str, seed: int, seconds: int, traced: bool) -> dict:
         events.append(count)
         if count != events[0]:
             raise Failure(f"{count} events, {events[0]} in the first invocation")
+        if mode == "count" and summary["probe"]["n"] < MIN_PROBES:
+            raise Failure(f"{summary['probe']['n']} host-speed samples, fewer than "
+                          f"{MIN_PROBES}: the invocation is shorter than "
+                          f"{MIN_PROBES * PROBE_INTERVAL_S:.1f} s")
         return wall, rss, summary
 
     def setup_rep():
         return runner.launch(cli + ["--help"])[0]
 
-    setup: list[float] = []
-    timed: list[tuple[float, float]] = []  # (wall s, peak RSS MiB)
+    setup: list[float] = []  # raw wall s
+    setup_scaled: list[float] = []
+    timed: list[tuple[float, float]] = []  # (raw wall s, peak RSS MiB)
+    timed_scaled: list[float] = []  # program wall s at the reference host speed
+    scales: list[float] = []
     traced_result = None
     try:
         runner.attempt("warm-up", setup_rep)
@@ -415,28 +431,39 @@ def run(workload: str, seed: int, seconds: int, traced: bool) -> dict:
                or sum(setup) + sum(w for w, _ in timed) < seconds):
             if (timed and time.monotonic() > runner.deadline - 30) or len(runner.failures) > 3:
                 break
+            round_setup = []
             for _ in range(SETUP_PER_ROUND):
                 wall = runner.attempt("setup", setup_rep)
                 if wall is not None:
-                    setup.append(wall)
+                    round_setup.append(wall)
+            setup += round_setup
             r = runner.attempt("timed", lambda: invoke("count"))
             if r is not None:
-                timed.append(r[:2])
+                wall, rss, summary = r
+                probe = summary["probe"]
+                scale = PROBE_REF_S / probe["median_s"]
+                timed.append((wall, rss))
+                scales.append(scale)
+                # The probe's own time is not the program's.
+                timed_scaled.append((wall - probe["total_s"]) * scale)
+                setup_scaled += [w * scale for w in round_setup]
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
 
-    if not timed or not setup or traced and traced_result is None:
+    if not timed or not setup_scaled or traced and traced_result is None:
         for line in runner.failures:
             print("FAILED", line, file=sys.stderr)
         raise SystemExit(f"{workload}: no complete measurement; see the failures above")
 
-    wall_s = statistics.median(w for w, _ in timed)
+    wall_s = statistics.median(timed_scaled)
     layer = None
     prov = provenance(seed, cli_args)
     prov["tracing_overhead_s"] = None
     if traced:
+        # The traced invocation runs without the probe, so it compares with
+        # the untraced invocations' raw times.
         traced_wall, _, summary = traced_result
-        layer = per_layer(summary, traced_wall, wall_s)
+        layer = per_layer(summary, traced_wall, statistics.median(w for w, _ in timed))
         prov["tracing_overhead_s"] = layer["trace.overhead_s"]
         if summary["check_failures"]:
             runner.fail("traced", "trace conservation: "
@@ -446,7 +473,7 @@ def run(workload: str, seed: int, seconds: int, traced: bool) -> dict:
                                   f"traced wall_s, below {COVERAGE_MIN}")
     end_to_end = {
         "wall_s": wall_s,
-        "setup_s": statistics.median(setup),
+        "setup_s": statistics.median(setup_scaled),
         "events_per_s": events[0] / wall_s,
         "peak_rss_mb": statistics.median(r for _, r in timed),
         **accuracy,
@@ -459,7 +486,10 @@ def run(workload: str, seed: int, seconds: int, traced: bool) -> dict:
         "digest": digests[0],
         "events": events[0],
         "timed_wall_s": [w for w, _ in timed],
+        "timed_scaled_s": timed_scaled,
+        "host_scale": scales,
         "setup_wall_s": setup,
+        "setup_scaled_s": setup_scaled,
         "end_to_end": end_to_end,
         "per_layer": layer,
         "provenance": prov,
@@ -490,7 +520,8 @@ def main(argv=None) -> int:
 
     result = run(args.workload, args.seed, args.seconds, traced=bool(args.trace))
     print(f"workload {args.workload}  seed {args.seed}  digest {result['digest']}  "
-          f"attempted {result['attempted']}  failed {result['failed']}")
+          f"attempted {result['attempted']}  failed {result['failed']}  "
+          f"host scale {_fmt(statistics.median(result['host_scale']))}")
     for line in result["failures"]:
         print("  FAILED", line)
     for name, unit in END_TO_END.items():
