@@ -56,11 +56,17 @@ class SimReport:
     config: object = None
 
     def __post_init__(self) -> None:
-        assert abs(self.epf_j * self.fps - self.avg_power_w) <= 1e-9 * max(
+        # Explicit checks rather than asserts, so that they hold under python -O.
+        if not abs(self.epf_j * self.fps - self.avg_power_w) <= 1e-9 * max(
             1.0, self.avg_power_w
-        ), "energy identity violated"
+        ):
+            raise ValueError(
+                f"energy identity violated: epf {self.epf_j} J x fps {self.fps} "
+                f"!= power {self.avg_power_w} W"
+            )
         for core, u in self.core_utilization.items():
-            assert u <= 1.0 + 1e-9, f"core {core} utilization {u} exceeds 1"
+            if not u <= 1.0 + 1e-9:
+                raise ValueError(f"core {core} utilization {u} exceeds 1")
 
 
 def compute_metrics(trace, platform: Platform | None = None, simd: bool = False,

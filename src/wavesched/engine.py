@@ -18,8 +18,8 @@ decisions. A parked thread (out of rows) releases the core entirely.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from wavesched.platform import Platform
 from wavesched.policies import (
@@ -33,7 +33,7 @@ from wavesched.policies import (
     make_policy,
 )
 from wavesched.workload import CostModel, WorkloadSpec, effective_cost, generate
-from wavesched.wpp_graph import FILTER_PHASES, GridDims, Phase, TaskId
+from wavesched.wpp_graph import FILTER_PHASES, GridDims, Phase, TaskId, frame_graph
 
 EV_CTU_START = "CtuStart"
 EV_CTU_COMPLETE = "CtuComplete"
@@ -45,8 +45,7 @@ EV_THREAD_IDLE = "ThreadIdle"
 EV_THREAD_RESUME = "ThreadResume"
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     time_s: float
     kind: str
     thread: int | None = None
@@ -94,7 +93,8 @@ class SimConfig:
 
 class _Thread:
     __slots__ = (
-        "id", "row", "col", "job_remaining", "job_task", "status", "idle_logged",
+        "id", "row", "col", "job_remaining", "job_task", "job_index", "status",
+        "idle_logged",
     )
 
     def __init__(self, tid: int):
@@ -103,14 +103,21 @@ class _Thread:
         self.col = 0
         self.job_remaining: float | None = None  # wu; None = no job
         self.job_task: TaskId | None = None  # None while job runs overhead
+        self.job_index = 0  # frame_graph index of job_task; n_tasks for overhead
         self.status = "stalled"  # run | stalled | wait_little | parked
         self.idle_logged = False
 
 
-_PHASE_INDEX = {p: k for k, p in enumerate(FILTER_PHASES)}
+_PHASES = (Phase.RECON,) + FILTER_PHASES
 
 
 class _Sim:
+    """Readiness comes from `wpp_graph.frame_graph`: each frame copies the
+    in-degrees and decrements them as tasks complete. A filter task whose
+    count reaches 0 joins the ready heap, ordered by graph index, i.e. by
+    (phase, row, col); a reconstruction task whose count reaches 0 wakes the
+    thread stalled on it (rows are owned, so there is at most one)."""
+
     def __init__(self, config: SimConfig):
         self.config = config
         self.platform = config.platform
@@ -121,21 +128,22 @@ class _Sim:
         self.simd = config.simd
         self.events: list[SimEvent] = []
         self.now = 0.0
-        self.core_speed = {i: c.speed_wu_per_s for i, c in enumerate(self.platform.cores)}
-        top = max(self.core_speed.values())
-        self.core_demand = {i: s / top for i, s in self.core_speed.items()}
+        self.core_speed = [c.speed_wu_per_s for c in self.platform.cores]
+        top = max(self.core_speed)
+        self.core_demand = [s / top for s in self.core_speed]
         self.kappa = self.platform.memory_contention
         self.frame = 0
-
-    # --- event helpers ---
+        self.graph = frame_graph(self.dims)
+        self.n_ctus = self.dims.n_ctus
+        self.n_tasks = len(self.graph.indegree)
+        self.filter_roots = [
+            k for k in range(self.n_ctus, self.n_tasks) if self.graph.indegree[k] == 0
+        ]
 
     def emit(self, kind, thread=None, core=None, task=None, src_core=None):
         self.events.append(
             SimEvent(self.now, kind, thread, core, task, self.frame, src_core)
         )
-
-    def _eff(self, wu: float, model: CostModel) -> float:
-        return effective_cost(wu, self.simd, model.vector_fraction, model.vector_speedup)
 
     # --- per-frame state ---
 
@@ -145,67 +153,60 @@ class _Sim:
             self.spec, self.platform, dims
         )
         self.threads = {t: _Thread(t) for t in self.state.bindings}
+        self.thread_list = [self.threads[t] for t in sorted(self.threads)]
         for t, th in self.threads.items():
             th.row = self.state.rows[t]
             th.col = 0
             if t in self.state.parked:
                 th.status = "parked"
-        self.model = self.models[self.frame]
-        self.recon_done_cols = [0] * dims.rows  # completed prefix length per row
-        self.recon_done_total = 0
-        self.recon_waiters: dict[tuple[int, int], list[int]] = {}
+        model = self.models[self.frame]
+        v, s = model.vector_fraction, model.vector_speedup
+        self.recon_cost = [
+            effective_cost(wu, self.simd, v, s) for row in model.recon.tolist() for wu in row
+        ]
+        self.filter_cost = [
+            effective_cost(model.filter_cost_per_ctu(p), self.simd, v, s) for p in FILTER_PHASES
+        ]
+        self.pending = list(self.graph.indegree)  # unmet dependencies per task
+        self.done = 0  # completed tasks of the frame
+        self.stalled_on: dict[int, int] = {}  # recon task index -> waiting thread
         self.stage = "recon"
-        # Filter pool state: completed prefix per (phase, row), claim pointers,
-        # ready heap keyed (phase index, row, col).
-        self.filter_done_cols = {(p, i): 0 for p in FILTER_PHASES for i in range(dims.rows)}
-        self.filter_claim_cols = dict(self.filter_done_cols)
-        self.filter_ready: list[tuple[int, int, int]] = []
-        self.filter_done_total = 0
+        self.filter_ready: list[int] = []  # heap of graph indices
         self.filter_waiters: set[int] = set()
         self.frame_done = False
 
-    # --- core occupancy ---
+    # --- task start and stall ---
 
-    def _runnable_on(self, core: int) -> int:
-        n = 0
-        for t in sorted(self.state.bindings):
-            th = self.threads[t]
-            if self.state.bindings[t] == core and th.job_remaining is not None:
-                n += 1
-        return n
+    def _start(self, th: _Thread, task: TaskId, index: int, cost: float):
+        th.job_remaining = cost
+        th.job_task = task
+        th.job_index = index
+        core = self.state.bindings[th.id]
+        if th.idle_logged:
+            self.emit(EV_THREAD_RESUME, th.id, core)
+        th.status = "run"
+        th.idle_logged = False
+        self.emit(EV_CTU_START, th.id, core, task)
 
-    # --- recon helpers ---
-
-    def _recon_dep_met(self, row: int, col: int) -> bool:
-        if row == 0:
-            return True
-        need = min(col + 1, self.dims.cols - 1)
-        return self.recon_done_cols[row - 1] > need
+    def _stall(self, th: _Thread):
+        th.status = "stalled"
+        th.job_remaining = None
+        th.job_task = None
+        if not th.idle_logged:
+            self.emit(EV_THREAD_IDLE, th.id, self.state.bindings[th.id])
+            th.idle_logged = True
 
     def _try_start_recon(self, tid: int):
         """Start the thread's next CTU, or stall on its upper dependency."""
         th = self.threads[tid]
         if th.row is None or th.status == "parked" or th.status == "wait_little":
             return
-        row, col = th.row, th.col
-        if self._recon_dep_met(row, col):
-            task = TaskId(self.frame, Phase.RECON, row, col)
-            th.job_remaining = self._eff(float(self.model.recon[row, col]), self.model)
-            th.job_task = task
-            if th.status == "stalled" and th.idle_logged:
-                self.emit(EV_THREAD_RESUME, thread=tid, core=self.state.bindings[tid])
-            th.status = "run"
-            th.idle_logged = False
-            self.emit(EV_CTU_START, thread=tid, core=self.state.bindings[tid], task=task)
+        k = th.row * self.dims.cols + th.col
+        if self.pending[k] == 0:
+            self._start(th, TaskId(self.frame, Phase.RECON, th.row, th.col), k, self.recon_cost[k])
         else:
-            th.status = "stalled"
-            th.job_remaining = None
-            th.job_task = None
-            key = (row - 1, min(col + 1, self.dims.cols - 1))
-            self.recon_waiters.setdefault(key, []).append(tid)
-            if not th.idle_logged:
-                self.emit(EV_THREAD_IDLE, thread=tid, core=self.state.bindings[tid])
-                th.idle_logged = True
+            self.stalled_on[k] = tid
+            self._stall(th)
 
     def _start_overhead(self, tid: int, dest: int) -> bool:
         """Charge migration overhead as an active job on the destination."""
@@ -214,16 +215,16 @@ class _Sim:
         th = self.threads[tid]
         th.job_remaining = self.spec.migration_overhead_s * self.core_speed[dest]
         th.job_task = None
+        th.job_index = self.n_tasks
         th.status = "run"
         th.idle_logged = False
         return True
 
     def _apply_migration(self, tid: int, dest: int):
-        th = self.threads[tid]
         src = self.state.bindings[tid]
         self.state.bindings[tid] = dest
         self.emit(EV_MIGRATION, thread=tid, core=dest, src_core=src)
-        if src is not None and src in self.little_set and src != dest:
+        if src is not None and src in self.platform.little_set and src != dest:
             self._fill_little_vacancy(src)
         if not self._start_overhead(tid, dest):
             self._continue_after_move(tid)
@@ -280,34 +281,46 @@ class _Sim:
                 self.emit(EV_THREAD_IDLE, thread=tid, core=self.state.bindings[tid])
                 th.idle_logged = True
                 src = self.state.bindings[tid]
-                if src is not None and src in self.little_set:
+                if src is not None and src in self.platform.little_set:
                     self._fill_little_vacancy(src)
         if took_row and not moved and th.job_remaining is None and th.status != "wait_little":
             self._try_start_recon(tid)
 
-    # --- recon completion ---
+    def _migrate_if_asked(self, tid: int, actions) -> bool:
+        migrated = False
+        for act in actions:
+            if isinstance(act, MigrateSelf):
+                self._apply_migration(tid, act.core)
+                migrated = True
+        return migrated
 
-    def _complete_recon(self, tid: int, task: TaskId):
-        th = self.threads[tid]
+    # --- completions ---
+
+    def _complete(self, th: _Thread, task: TaskId) -> list[int]:
+        """Record a task completion; returns the tasks it made ready."""
         th.job_remaining = None
         th.job_task = None
-        row, col = task.row, task.col
-        self.recon_done_cols[row] += 1
-        self.recon_done_total += 1
-        self.emit(EV_CTU_COMPLETE, thread=tid, core=self.state.bindings[tid], task=task)
+        self.done += 1
+        self.emit(EV_CTU_COMPLETE, th.id, self.state.bindings[th.id], task)
+        pending = self.pending
+        ready = []
+        for k in self.graph.successors[th.job_index]:
+            pending[k] -= 1
+            if pending[k] == 0:
+                ready.append(k)
+        return ready
 
-        for waiter in self.recon_waiters.pop((row, col), []):
-            self._try_start_recon(waiter)
+    def _complete_recon(self, th: _Thread, task: TaskId):
+        tid = th.id
+        for k in self._complete(th, task):
+            waiter = self.stalled_on.pop(k, None)
+            if waiter is not None:
+                self._try_start_recon(waiter)
 
-        if col + 1 < self.dims.cols:
-            th.col = col + 1
+        if task.col + 1 < self.dims.cols:
+            th.col = task.col + 1
             actions = self.policy.on_recon_ctu_complete(self.state, tid, task.coord)
-            migrated = False
-            for act in actions:
-                if isinstance(act, MigrateSelf):
-                    self._apply_migration(tid, act.core)
-                    migrated = True
-            if not migrated:
+            if not self._migrate_if_asked(tid, actions):
                 self._try_start_recon(tid)
         else:
             self.emit(
@@ -318,10 +331,8 @@ class _Sim:
             actions = self.policy.on_row_complete(self.state, tid)
             self._apply_row_actions(tid, actions)
 
-        if self.recon_done_total == self.dims.n_ctus:
+        if self.done == self.n_ctus:
             self._begin_filter_stage()
-
-    # --- filter stage ---
 
     def _begin_filter_stage(self):
         self.emit(EV_BARRIER)
@@ -329,209 +340,136 @@ class _Sim:
         rebinds = self.policy.filter_stage_start(self.state)
         self.state.parked.clear()
         self.state.waiting_little.clear()
-        for t, th in sorted(self.threads.items()):
+        for th in self.thread_list:
             if th.status in ("parked", "wait_little", "stalled"):
                 th.status = "stalled"
         for tid, bind in rebinds:
-            th = self.threads[tid]
             src = self.state.bindings[tid]
             if bind.core is not None and bind.core != src:
                 self.state.bindings[tid] = bind.core
                 self.emit(EV_MIGRATION, thread=tid, core=bind.core, src_core=src)
                 self._start_overhead(tid, bind.core)
-        if self.policy.kind == "affinity" and self.spec.threads == 8:
-            big = set(self.platform.big_ids)
-            on_big = sum(1 for t in self.state.bindings if self.state.bindings[t] in big)
-            if not (on_big == 4 and self.state.n_threads - on_big == 4):
-                raise AssertionError(
-                    f"filter stage expected a 4/4 split, got {on_big} on big"
-                )
-        # Seed the ready pool: first horizontal-pass task of every row.
-        for i in range(self.dims.rows):
-            if self._filter_ready_task(Phase.HFILTER, i, 0):
-                heapq.heappush(self.filter_ready, (_PHASE_INDEX[Phase.HFILTER], i, 0))
-        for tid, th in sorted(self.threads.items()):
+        self.filter_ready = list(self.filter_roots)  # ascending, so a heap
+        for th in self.thread_list:
             if th.job_remaining is None:
-                self._filter_pull(tid)
-
-    def _filter_ready_task(self, phase: Phase, row: int, col: int) -> bool:
-        if col >= self.dims.cols or self.filter_claim_cols[(phase, row)] != col:
-            return False
-        if self.filter_done_cols[(phase, row)] < col:
-            return False
-        if phase is Phase.HFILTER:
-            return True
-        prev = FILTER_PHASES[_PHASE_INDEX[phase] - 1]
-        if self.filter_done_cols[(prev, row)] < min(col + 2, self.dims.cols):
-            return False
-        if row + 1 < self.dims.rows and self.filter_done_cols[(prev, row + 1)] < col + 1:
-            return False
-        return True
+                self._filter_pull(th.id)
 
     def _filter_pull(self, tid: int):
         th = self.threads[tid]
         if th.status == "parked":
             th.status = "stalled"
         if self.filter_ready:
-            pidx, row, col = heapq.heappop(self.filter_ready)
-            phase = FILTER_PHASES[pidx]
-            self.filter_claim_cols[(phase, row)] = col + 1
-            task = TaskId(self.frame, phase, row, col)
-            th.job_remaining = self._eff(self.model.filter_cost_per_ctu(phase), self.model)
-            th.job_task = task
-            if th.idle_logged:
-                self.emit(EV_THREAD_RESUME, thread=tid, core=self.state.bindings[tid])
-            th.status = "run"
-            th.idle_logged = False
+            k = heapq.heappop(self.filter_ready)
+            p, rest = divmod(k, self.n_ctus)
+            row, col = divmod(rest, self.dims.cols)
             self.filter_waiters.discard(tid)
-            self.emit(EV_CTU_START, thread=tid, core=self.state.bindings[tid], task=task)
+            self._start(th, TaskId(self.frame, _PHASES[p], row, col), k, self.filter_cost[p - 1])
         else:
-            th.job_remaining = None
-            th.job_task = None
-            th.status = "stalled"
             self.filter_waiters.add(tid)
-            if not th.idle_logged:
-                self.emit(EV_THREAD_IDLE, thread=tid, core=self.state.bindings[tid])
-                th.idle_logged = True
+            self._stall(th)
 
-    def _complete_filter(self, tid: int, task: TaskId):
-        th = self.threads[tid]
-        th.job_remaining = None
-        th.job_task = None
-        phase, row, col = task.phase, task.row, task.col
-        self.filter_done_cols[(phase, row)] += 1
-        self.filter_done_total += 1
-        self.emit(EV_CTU_COMPLETE, thread=tid, core=self.state.bindings[tid], task=task)
+    def _complete_filter(self, th: _Thread, task: TaskId):
+        tid = th.id
+        for k in self._complete(th, task):
+            heapq.heappush(self.filter_ready, k)
 
-        # Push tasks that this completion just made ready.
-        pidx = _PHASE_INDEX[phase]
-        candidates = [(pidx, row, col + 1)]
-        if pidx + 1 < len(FILTER_PHASES):
-            candidates += [
-                (pidx + 1, row, col),
-                (pidx + 1, row, col - 1),
-                (pidx + 1, row - 1, col),
-            ]
-        for cand_p, cand_i, cand_j in candidates:
-            if cand_i < 0 or cand_j < 0 or cand_i >= self.dims.rows:
-                continue
-            if self._filter_ready_task(FILTER_PHASES[cand_p], cand_i, cand_j):
-                heapq.heappush(self.filter_ready, (cand_p, cand_i, cand_j))
-
-        if self.filter_done_total == self.dims.n_ctus * len(FILTER_PHASES):
+        if self.done == self.n_tasks:
             self.frame_done = True
             self.emit(EV_FRAME_COMPLETE)
             return
 
         actions = self.policy.on_filter_ctu_complete(self.state, tid)
-        migrated = False
-        for act in actions:
-            if isinstance(act, MigrateSelf):
-                self._apply_migration(tid, act.core)
-                migrated = True
-        if not migrated:
+        if not self._migrate_if_asked(tid, actions):
             self._filter_pull(tid)
         for waiter in sorted(self.filter_waiters):
             if not self.filter_ready:
                 break
             self._filter_pull(waiter)
 
-    # --- overhead completion ---
-
-    def _complete_overhead(self, tid: int):
-        th = self.threads[tid]
+    def _complete_overhead(self, th: _Thread):
         th.job_remaining = None
-        self._continue_after_move(tid)
+        self._continue_after_move(th.id)
 
     # --- main loop ---
 
     def run(self) -> list[SimEvent]:
-        self.little_set = set(self.platform.little_ids)
         for self.frame in range(self.config.frames):
             self._reset_frame()
-            for tid in sorted(self.threads):
-                th = self.threads[tid]
+            for th in self.thread_list:
                 if th.status != "parked":
-                    self._try_start_recon(tid)
+                    self._try_start_recon(th.id)
                 else:
-                    self.emit(EV_THREAD_IDLE, thread=tid, core=self.state.bindings[tid])
+                    self.emit(EV_THREAD_IDLE, thread=th.id, core=self.state.bindings[th.id])
                     th.idle_logged = True
             self._run_frame()
         return self.events
 
     def _blocked_report(self) -> list[str]:
-        out = []
-        for tid, th in sorted(self.threads.items()):
-            out.append(f"thread {tid}: status={th.status} row={th.row} col={th.col}")
+        out = [
+            f"thread {th.id}: status={th.status} row={th.row} col={th.col}"
+            for th in self.thread_list
+        ]
+        n = self.n_ctus
         if self.stage == "recon":
-            out.append(f"recon done {self.recon_done_total}/{self.dims.n_ctus}")
+            out.append(f"recon done {self.done}/{n}")
         else:
-            out.append(
-                f"filter done {self.filter_done_total}/{self.dims.n_ctus * len(FILTER_PHASES)}"
-            )
+            out.append(f"filter done {self.done - n}/{self.n_tasks - n}")
         return out
 
     def _run_frame(self):
-        threads = self.threads
+        threads = self.thread_list
         bindings = self.state.bindings
         speed, demand, kappa = self.core_speed, self.core_demand, self.kappa
+
+        # Deterministic completion order: CTU tasks by (phase, row, col, core),
+        # then overhead expiries by (core, thread).
+        def order(th):
+            return (th.job_index, bindings[th.id], th.id)
+
         while not self.frame_done:
-            # Collect runnable jobs and the per-thread rate on each active core.
+            # Runnable jobs, and the per-thread rate on each active core.
             occupancy: dict[int, int] = {}
-            runnable: list[int] = []
-            for tid in sorted(threads):
-                th = threads[tid]
+            runnable = []
+            cores = []
+            for th in threads:
                 if th.job_remaining is not None:
-                    core = bindings[tid]
+                    core = bindings[th.id]
                     occupancy[core] = occupancy.get(core, 0) + 1
-                    runnable.append(tid)
+                    runnable.append(th)
+                    cores.append(core)
             if not runnable:
                 raise DeadlockError(
                     f"no runnable thread at t={self.now:.9f}", self._blocked_report()
                 )
-            total_demand = sum(demand[c] for c in occupancy)
+            total_demand = sum([demand[c] for c in occupancy])
             rate_on = {
                 c: speed[c] / n / (1.0 + kappa * (total_demand - demand[c]))
                 for c, n in occupancy.items()
             }
-            dt_min = None
-            for tid in runnable:
-                dt = threads[tid].job_remaining / rate_on[bindings[tid]]
-                if dt_min is None or dt < dt_min:
-                    dt_min = dt
-            eps = dt_min * 1e-12 + 1e-18
+            rates = [rate_on[c] for c in cores]
+            dts = [th.job_remaining / rate for th, rate in zip(runnable, rates)]
+            dt_min = min(dts)
+            limit = dt_min + (dt_min * 1e-12 + 1e-18)
             batch = []
-            for tid in runnable:
-                rate = rate_on[bindings[tid]]
-                th = threads[tid]
-                dt = th.job_remaining / rate
-                if dt <= dt_min + eps:
-                    batch.append(tid)
+            for th, rate, dt in zip(runnable, rates, dts):
+                if dt <= limit:
+                    batch.append(th)
                     th.job_remaining = 0.0
                 else:
                     th.job_remaining -= dt_min * rate
             self.now += dt_min
-            # Deterministic completion order: CTU tasks by (phase, row, col,
-            # core), then overhead expiries by (core, thread).
-            def order(tid):
-                th = threads[tid]
-                if th.job_task is not None:
-                    t = th.job_task
-                    p = -1 if t.phase is Phase.RECON else _PHASE_INDEX[t.phase]
-                    return (0, p, t.row, t.col, bindings[tid] or 0, tid)
-                return (1, 0, 0, 0, bindings[tid] or 0, tid)
-
-            for tid in sorted(batch, key=order):
-                th = threads[tid]
-                if th.job_remaining is None or th.job_remaining != 0.0:
+            if len(batch) > 1:
+                batch.sort(key=order)
+            for th in batch:
+                if th.job_remaining != 0.0:
                     continue  # a prior barrier/rebind in this batch reset it
                 task = th.job_task
                 if task is None:
-                    self._complete_overhead(tid)
+                    self._complete_overhead(th)
                 elif task.phase is Phase.RECON:
-                    self._complete_recon(tid, task)
+                    self._complete_recon(th, task)
                 else:
-                    self._complete_filter(tid, task)
+                    self._complete_filter(th, task)
                 if self.frame_done:
                     break
 

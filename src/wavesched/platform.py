@@ -37,6 +37,11 @@ CORE_ACTIVE_SIMD = "active_simd"
 _VALID_STATES = (CORE_IDLE, CORE_ACTIVE, CORE_ACTIVE_SIMD)
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CoreType:
     name: str
@@ -47,6 +52,9 @@ class CoreType:
     simd_power_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("freq_ghz", "speed_wu_per_s", "active_power_w", "idle_power_w",
+                     "simd_power_factor"):
+            _check_finite(f"{self.name}.{name}", getattr(self, name))
         if self.speed_wu_per_s <= 0:
             raise ValueError(f"core speed must be positive, got {self.speed_wu_per_s}")
         if not self.active_power_w >= self.idle_power_w >= 0:
@@ -70,6 +78,8 @@ class Platform:
         object.__setattr__(self, "clusters", clusters)
         if self.n_cores < 1:
             raise ValueError("platform needs at least one core")
+        _check_finite("base_power_w", self.base_power_w)
+        _check_finite("sample_interval_s", self.sample_interval_s)
         if self.base_power_w < 0:
             raise ValueError("base power must be >= 0")
         if self.sample_interval_s <= 0:
@@ -78,6 +88,16 @@ class Platform:
             raise ValueError(
                 f"memory_contention must be finite and >= 0, got {self.memory_contention}"
             )
+        # Core facts are read on every scheduling decision: derive them once.
+        cores = tuple(ct for ct, n in clusters for _ in range(n))
+        top = max(c.speed_wu_per_s for c in cores)
+        big = tuple(i for i, c in enumerate(cores) if c.speed_wu_per_s == top)
+        little = tuple(i for i, c in enumerate(cores) if c.speed_wu_per_s != top)
+        object.__setattr__(self, "_cores", cores)
+        object.__setattr__(self, "_big_ids", big)
+        object.__setattr__(self, "_little_ids", little)
+        object.__setattr__(self, "_big_set", frozenset(big))
+        object.__setattr__(self, "_little_set", frozenset(little))
 
     @property
     def n_cores(self) -> int:
@@ -86,22 +106,24 @@ class Platform:
     @property
     def cores(self) -> tuple[CoreType, ...]:
         """One entry per physical core, in cluster order (core id = index)."""
-        out: list[CoreType] = []
-        for ct, n in self.clusters:
-            out.extend([ct] * n)
-        return tuple(out)
+        return self._cores
 
     @property
     def big_ids(self) -> tuple[int, ...]:
         """Cores of the fastest type."""
-        cores = self.cores
-        top = max(c.speed_wu_per_s for c in cores)
-        return tuple(i for i, c in enumerate(cores) if c.speed_wu_per_s == top)
+        return self._big_ids
 
     @property
     def little_ids(self) -> tuple[int, ...]:
-        big = set(self.big_ids)
-        return tuple(i for i in range(self.n_cores) if i not in big)
+        return self._little_ids
+
+    @property
+    def big_set(self) -> frozenset[int]:
+        return self._big_set
+
+    @property
+    def little_set(self) -> frozenset[int]:
+        return self._little_set
 
 
 def default_platform() -> Platform:
@@ -218,25 +240,27 @@ def parse_config_text(text: str, origin: str = "<config>") -> tuple[Platform, fl
     if not order:
         raise ValueError(f"{origin}: no clusters defined")
     built = []
-    for cname in order:
-        fields = clusters[cname]
-        missing = [k for k in _CLUSTER_KEYS if k not in fields]
-        if missing:
-            raise ValueError(f"{origin}: cluster {cname!r} missing keys {missing}")
-        built.append(
-            (
-                CoreType(
-                    name=cname,
-                    freq_ghz=fields["freq_ghz"],
-                    speed_wu_per_s=fields["speed_wu_per_s"],
-                    active_power_w=fields["active_power_w"],
-                    idle_power_w=fields["idle_power_w"],
-                    simd_power_factor=fields["simd_power_factor"],
-                ),
-                int(fields["count"]),
-            )
-        )
     try:
+        for cname in order:
+            fields = clusters[cname]
+            missing = [k for k in _CLUSTER_KEYS if k not in fields]
+            if missing:
+                raise ValueError(f"cluster {cname!r} missing keys {missing}")
+            count = fields["count"]
+            if not (math.isfinite(count) and count == int(count)):
+                raise ValueError(f"{cname}.count must be a finite whole number, got {count}")
+            core = CoreType(
+                name=cname,
+                freq_ghz=fields["freq_ghz"],
+                speed_wu_per_s=fields["speed_wu_per_s"],
+                active_power_w=fields["active_power_w"],
+                idle_power_w=fields["idle_power_w"],
+                simd_power_factor=fields["simd_power_factor"],
+            )
+            built.append((core, int(count)))
+        mean_wu = top.get("mean_wu")
+        if mean_wu is not None and not (math.isfinite(mean_wu) and mean_wu > 0):
+            raise ValueError(f"mean_wu must be finite and > 0, got {mean_wu}")
         platform = Platform(
             clusters=tuple(built),
             base_power_w=top.get("base_power_w", 0.0),
@@ -245,7 +269,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> tuple[Platform, fl
         )
     except ValueError as exc:
         raise ValueError(f"{origin}: {exc}") from None
-    return platform, top.get("mean_wu")
+    return platform, mean_wu
 
 
 def load_platform_config(path) -> tuple[Platform, float | None]:

@@ -129,10 +129,10 @@ class SchedState:
         return self.idle_cores(self.platform.little_ids)
 
     def on_little(self, thread: int) -> bool:
-        return self.bindings.get(thread) in set(self.platform.little_ids)
+        return self.bindings.get(thread) in self.platform.little_set
 
     def on_big(self, thread: int) -> bool:
-        return self.bindings.get(thread) in set(self.platform.big_ids)
+        return self.bindings.get(thread) in self.platform.big_set
 
     def little_resident_rows(self) -> list[int]:
         """Row indices currently owned by threads occupying slow cores."""
@@ -155,9 +155,6 @@ class SchedState:
 
 class Policy:
     kind: str = ""
-
-    def __init__(self, spec: PolicySpec | None = None):
-        self.spec = spec
 
     def _initial_cores(self, n: int, platform: Platform) -> list[int]:
         raise NotImplementedError

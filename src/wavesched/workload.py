@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -138,7 +138,17 @@ def generate(spec: WorkloadSpec, dims: GridDims, frames: int) -> list[CostModel]
             )
         if len(models) < frames:
             raise ValueError(f"trace has {len(models)} frames, {frames} requested")
-        return models[:frames]
+        # A trace carries reconstruction costs only; the rest is the spec's.
+        return [
+            replace(
+                m,
+                filter_fraction=spec.filter_fraction,
+                filter_split=spec.filter_split,
+                vector_fraction=spec.vector_fraction,
+                vector_speedup=spec.vector_speedup,
+            )
+            for m in models[:frames]
+        ]
 
     rng = np.random.default_rng(spec.seed)
     models = []

@@ -17,6 +17,7 @@ with out-of-range members dropped.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -134,6 +135,33 @@ def task_deps(task: TaskId, dims: GridDims) -> list[TaskId]:
             for c in recon_deps(task.coord, dims)
         ]
     return filter_deps(task, dims)
+
+
+class FrameGraph(NamedTuple):
+    """One frame's task graph as flat arrays, for the engine's hot path.
+
+    Task k is the k-th task of `all_tasks`: phase-major, so
+    k = phase position * rows * cols + row * cols + col, with RECON first
+    and then FILTER_PHASES. Ordering tasks by k orders them by
+    (phase, row, col). The frame barrier is not an edge.
+    """
+
+    successors: tuple[tuple[int, ...], ...]
+    indegree: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=16)
+def frame_graph(dims: GridDims) -> FrameGraph:
+    """Successor lists and in-degrees of one frame, derived from `task_deps`."""
+    n, cols = dims.n_ctus, dims.cols
+    phases = (Phase.RECON,) + FILTER_PHASES
+    successors: list[list[int]] = [[] for _ in range(4 * n)]
+    indegree = [0] * (4 * n)
+    for k, task in enumerate(all_tasks(dims)):
+        for dep in task_deps(task, dims):
+            successors[phases.index(dep.phase) * n + dep.row * cols + dep.col].append(k)
+            indegree[k] += 1
+    return FrameGraph(tuple(map(tuple, successors)), tuple(indegree))
 
 
 def ready_tasks(

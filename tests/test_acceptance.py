@@ -307,6 +307,16 @@ def _check_trace(cfg, trace):
             else:
                 if recon_done[task.frame] != dims.n_ctus:
                     violations.append(f"{task} started before the barrier")
+                if st["rebinding"] and spec.kind == "affinity":
+                    # One thread per core: the barrier rebinds fill every
+                    # fast core first (8 threads on 4+4 cores split 4/4).
+                    on_big = sum(1 for c in st["bindings"].values() if c in big)
+                    want = min(spec.threads, len(big))
+                    if on_big != want:
+                        violations.append(
+                            f"filter stage of frame {task.frame} starts with "
+                            f"{on_big} threads on fast cores, want {want}"
+                        )
                 st["rebinding"] = False
         elif ev.kind == EV_CTU_COMPLETE:
             task = ev.task

@@ -5,11 +5,14 @@ import csv
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from wavesched import engine, policies
+from wavesched import analysis, engine, policies
 from wavesched.analysis import (
     analytic_wavefront_makespan,
     compare_to_reference,
@@ -102,13 +105,42 @@ def test_sampled_energy_tracks_exact_integration():
 
 
 def test_report_identity_assertion_fires():
-    with pytest.raises(AssertionError, match="energy identity"):
+    with pytest.raises(ValueError, match="energy identity"):
         SimReport(
             frames=1, wall_time_s=1.0, fps=1.0, energy_j=2.0, epf_j=2.0,
             avg_power_w=3.0, energy_sampled_j=2.0, avg_power_sampled_w=2.0,
             power_samples=(), migrations=0, core_active_s={},
             core_utilization={},
         )
+
+
+def test_report_utilization_check_fires():
+    with pytest.raises(ValueError, match="core 0 utilization 1.5 exceeds 1"):
+        SimReport(
+            frames=1, wall_time_s=1.0, fps=1.0, energy_j=2.0, epf_j=2.0,
+            avg_power_w=2.0, energy_sampled_j=2.0, avg_power_sampled_w=2.0,
+            power_samples=(), migrations=0, core_active_s={0: 1.5},
+            core_utilization={0: 1.5},
+        )
+
+
+def test_report_checks_hold_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(analysis.__file__)))
+    code = (
+        "from wavesched.analysis import SimReport\n"
+        "try:\n"
+        "    SimReport(frames=1, wall_time_s=1.0, fps=1.0, energy_j=2.0, epf_j=2.0,\n"
+        "              avg_power_w=3.0, energy_sampled_j=2.0, avg_power_sampled_w=2.0,\n"
+        "              power_samples=(), migrations=0, core_active_s={},\n"
+        "              core_utilization={})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith("energy identity violated")
 
 
 # --- analytic makespan ------------------------------------------------------------

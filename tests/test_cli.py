@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -189,6 +192,28 @@ def test_run_rejects_negative_memory_contention(tmp_path, capsys):
     code, out, err = _run_cli(["run", "--grid", "1x1", "--platform", str(path)], capsys)
     assert code == 1 and out == ""
     assert "memory_contention must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "line", ["base_power_w = nan", "sample_interval_s = nan", "big.speed_wu_per_s = inf"]
+)
+def test_run_rejects_non_finite_platform_numbers(tmp_path, line):
+    """Each of these once crashed, passed silently, or hung; now a named error.
+    A fresh interpreter under a timeout, so a regression fails instead of hanging."""
+    key = line.split(" = ")[0]
+    path = tmp_path / "board.conf"
+    text = platform_mod.config_to_text(default_platform())
+    path.write_text(re.sub(rf"^{re.escape(key)} = .*$", line, text, flags=re.M))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(cli.CONFIG_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavesched.cli", "run", "--grid", "2x2", "--frames", "1",
+         "--platform", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {path}: {key} must be finite, got {line.split()[-1]}\n"
 
 
 # --- paper-repro --------------------------------------------------------------------

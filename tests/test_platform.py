@@ -1,5 +1,6 @@
 """Machine description, power model, config format, and calibration tests."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +211,35 @@ def test_config_bad_memory_contention_is_named(bad):
     )
     with pytest.raises(ValueError, match=r"^board: memory_contention must be finite"):
         parse_config_text(text, origin="board")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        "base_power_w", "sample_interval_s", "mean_wu", "big.count", "big.freq_ghz",
+        "big.speed_wu_per_s", "big.active_power_w", "big.idle_power_w",
+        "little.simd_power_factor",
+    ],
+)
+def test_config_non_finite_number_is_named(key, bad):
+    text = config_to_text(default_platform(), mean_wu=100.0)
+    text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {bad}", text, flags=re.M)
+    assert f"{key} = {bad}" in text
+    with pytest.raises(ValueError, match=rf"^board: {re.escape(key)} must be (a )?finite"):
+        parse_config_text(text, origin="board")
+
+
+def test_core_type_and_platform_reject_non_finite_values():
+    with pytest.raises(ValueError, match="x.speed_wu_per_s must be finite"):
+        CoreType("x", 1.0, float("inf"), 1.0, 0.1)
+    with pytest.raises(ValueError, match="x.idle_power_w must be finite"):
+        CoreType("x", 1.0, 100.0, 1.0, float("nan"))
+    ct = CoreType("x", 1.0, 100.0, 1.0, 0.1)
+    with pytest.raises(ValueError, match="base_power_w must be finite"):
+        Platform(clusters=((ct, 1),), base_power_w=float("nan"))
+    with pytest.raises(ValueError, match="sample_interval_s must be finite"):
+        Platform(clusters=((ct, 1),), sample_interval_s=float("inf"))
 
 
 def test_config_unknown_key_reports_line():

@@ -196,3 +196,18 @@ def test_generate_from_trace_checks_dims(tmp_path):
         generate(spec, GridDims(3, 3), frames=1)
     with pytest.raises(ValueError, match="frames"):
         generate(spec, GridDims(2, 2), frames=2)
+
+
+def test_generate_from_trace_keeps_the_spec_parameters(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("0,0,0,10\n0,0,1,20\n0,1,0,30\n0,1,1,40\n")
+    spec = WorkloadSpec(
+        kind="trace", path=str(path), filter_fraction=0.3,
+        filter_split=(0.2, 0.3, 0.5), vector_fraction=0.9, vector_speedup=2.0,
+    )
+    (model,) = generate(spec, GridDims(2, 2), frames=1)
+    assert model.filter_fraction == 0.3
+    assert model.vector_fraction == 0.9
+    assert model.filter_split == (0.2, 0.3, 0.5)
+    assert model.vector_speedup == 2.0
+    assert np.array_equal(model.recon, np.array([[10.0, 20.0], [30.0, 40.0]]))
