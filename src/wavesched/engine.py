@@ -33,7 +33,14 @@ from wavesched.policies import (
     make_policy,
 )
 from wavesched.workload import CostModel, WorkloadSpec, effective_cost, generate
-from wavesched.wpp_graph import FILTER_PHASES, GridDims, Phase, TaskId, frame_graph
+from wavesched.wpp_graph import (
+    FILTER_PHASES,
+    PHASES,
+    GridDims,
+    Phase,
+    TaskId,
+    frame_graph,
+)
 
 EV_CTU_START = "CtuStart"
 EV_CTU_COMPLETE = "CtuComplete"
@@ -106,9 +113,6 @@ class _Thread:
         self.job_index = 0  # frame_graph index of job_task; n_tasks for overhead
         self.status = "stalled"  # run | stalled | wait_little | parked
         self.idle_logged = False
-
-
-_PHASES = (Phase.RECON,) + FILTER_PHASES
 
 
 class _Sim:
@@ -363,7 +367,7 @@ class _Sim:
             p, rest = divmod(k, self.n_ctus)
             row, col = divmod(rest, self.dims.cols)
             self.filter_waiters.discard(tid)
-            self._start(th, TaskId(self.frame, _PHASES[p], row, col), k, self.filter_cost[p - 1])
+            self._start(th, TaskId(self.frame, PHASES[p], row, col), k, self.filter_cost[p - 1])
         else:
             self.filter_waiters.add(tid)
             self._stall(th)

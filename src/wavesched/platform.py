@@ -76,6 +76,9 @@ class Platform:
     def __post_init__(self) -> None:
         clusters = tuple((ct, int(n)) for ct, n in self.clusters)
         object.__setattr__(self, "clusters", clusters)
+        for ct, n in clusters:
+            if n < 0:
+                raise ValueError(f"{ct.name}.count must be >= 0, got {n}")
         if self.n_cores < 1:
             raise ValueError("platform needs at least one core")
         _check_finite("base_power_w", self.base_power_w)

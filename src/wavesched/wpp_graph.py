@@ -36,6 +36,9 @@ class Phase(enum.Enum):
 # Pass order within the filter stage; also the dispatch priority.
 FILTER_PHASES = (Phase.HFILTER, Phase.VFILTER, Phase.SAO)
 
+# Task order within a frame (`all_tasks`, `frame_graph` indices).
+PHASES = (Phase.RECON,) + FILTER_PHASES
+
 _PREVIOUS_PASS = {Phase.VFILTER: Phase.HFILTER, Phase.SAO: Phase.VFILTER}
 
 
@@ -121,7 +124,7 @@ def frame_barrier(dims: GridDims, frame: int = 0) -> frozenset[TaskId]:
 
 def all_tasks(dims: GridDims, frame: int = 0) -> Iterator[TaskId]:
     """Every task of one frame in (phase, row, col) order."""
-    for phase in (Phase.RECON,) + FILTER_PHASES:
+    for phase in PHASES:
         for i in range(dims.rows):
             for j in range(dims.cols):
                 yield TaskId(frame, phase, i, j)
@@ -140,10 +143,10 @@ def task_deps(task: TaskId, dims: GridDims) -> list[TaskId]:
 class FrameGraph(NamedTuple):
     """One frame's task graph as flat arrays, for the engine's hot path.
 
-    Task k is the k-th task of `all_tasks`: phase-major, so
-    k = phase position * rows * cols + row * cols + col, with RECON first
-    and then FILTER_PHASES. Ordering tasks by k orders them by
-    (phase, row, col). The frame barrier is not an edge.
+    Task k is the k-th task of `all_tasks`, so
+    k = PHASES.index(phase) * rows * cols + row * cols + col, and ordering
+    tasks by k orders them by (phase, row, col). The frame barrier is not
+    an edge.
     """
 
     successors: tuple[tuple[int, ...], ...]
@@ -154,12 +157,11 @@ class FrameGraph(NamedTuple):
 def frame_graph(dims: GridDims) -> FrameGraph:
     """Successor lists and in-degrees of one frame, derived from `task_deps`."""
     n, cols = dims.n_ctus, dims.cols
-    phases = (Phase.RECON,) + FILTER_PHASES
-    successors: list[list[int]] = [[] for _ in range(4 * n)]
-    indegree = [0] * (4 * n)
+    successors: list[list[int]] = [[] for _ in range(len(PHASES) * n)]
+    indegree = [0] * (len(PHASES) * n)
     for k, task in enumerate(all_tasks(dims)):
         for dep in task_deps(task, dims):
-            successors[phases.index(dep.phase) * n + dep.row * cols + dep.col].append(k)
+            successors[PHASES.index(dep.phase) * n + dep.row * cols + dep.col].append(k)
             indegree[k] += 1
     return FrameGraph(tuple(map(tuple, successors)), tuple(indegree))
 

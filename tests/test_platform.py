@@ -230,6 +230,12 @@ def test_config_non_finite_number_is_named(key, bad):
         parse_config_text(text, origin="board")
 
 
+def test_config_negative_cluster_count_is_named():
+    text = config_to_text(default_platform()).replace("little.count = 4", "little.count = -1")
+    with pytest.raises(ValueError, match=r"^board: little.count must be >= 0, got -1$"):
+        parse_config_text(text, origin="board")
+
+
 def test_core_type_and_platform_reject_non_finite_values():
     with pytest.raises(ValueError, match="x.speed_wu_per_s must be finite"):
         CoreType("x", 1.0, float("inf"), 1.0, 0.1)

@@ -3,6 +3,7 @@
 import pytest
 
 from wavesched.wpp_graph import (
+    PHASES,
     CtuCoord,
     GridDims,
     Phase,
@@ -10,6 +11,7 @@ from wavesched.wpp_graph import (
     all_tasks,
     filter_deps,
     frame_barrier,
+    frame_graph,
     ready_tasks,
     recon_ancestors,
     recon_deps,
@@ -243,3 +245,17 @@ def test_deps_are_pure():
     assert a == b and a is not b
     t = TaskId(0, Phase.SAO, 2, 5)
     assert filter_deps(t, DIMS) == filter_deps(t, DIMS)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (4, 1), (3, 4), (5, 7)])
+def test_frame_graph_is_task_deps_indexed_in_task_order(rows, cols):
+    dims = GridDims(rows, cols)
+    tasks = list(all_tasks(dims))
+    graph = frame_graph(dims)
+    assert graph is frame_graph(dims)
+    edges = {(tasks.index(d), k) for k, t in enumerate(tasks) for d in task_deps(t, dims)}
+    assert {(k, s) for k, succ in enumerate(graph.successors) for s in succ} == edges
+    assert list(graph.indegree) == [len(task_deps(t, dims)) for t in tasks]
+    # Graph indices order tasks by (phase, row, col), the engine's ready-heap key.
+    key = [(PHASES.index(t.phase), t.row, t.col) for t in tasks]
+    assert key == sorted(key)
