@@ -35,9 +35,6 @@ from wavesched.wpp_graph import (
     task_deps,
 )
 
-_START_KINDS = ("CtuStart", "Migration")
-_STOP_KINDS = ("CtuComplete", "ThreadIdle")
-
 
 @dataclass
 class SimReport:
@@ -486,9 +483,15 @@ def reference_simulate(config):
                     dispatch_all()
                     progressed = True
                 else:
+                    # Nothing finishes in this window: cross it and every
+                    # whole step after it that still ends before eta.
+                    steps = int((eta - window) // dt)
+                    if window + steps * dt >= eta:
+                        steps -= 1
+                    span = window + steps * dt
                     for (tid, th), rate in zip(running, rates):
-                        th.rem -= rate * window
-                    now += window
+                        th.rem -= rate * span
+                    now += span
                     window = 0.0
                     progressed = True
             if not progressed:

@@ -15,6 +15,7 @@ interference.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -148,13 +149,6 @@ def default_platform() -> Platform:
         simd_power_factor=0.96,
     )
     return Platform(clusters=((big, 4), (little, 4)), base_power_w=1.0)
-
-
-def effective_speed(core: CoreType, resident_threads: int) -> float:
-    """Per-thread speed under fair processor sharing."""
-    if resident_threads < 1:
-        raise ValueError(f"resident_threads must be >= 1, got {resident_threads}")
-    return core.speed_wu_per_s / resident_threads
 
 
 def instantaneous_power(platform: Platform, core_states: Sequence[str]) -> float:
@@ -336,6 +330,46 @@ def _occupancy(report) -> tuple[float, dict[str, float]]:
     return report.wall_time_s, acc
 
 
+def _null_space_rows(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of `a`, one vector per row.
+
+    Singular values up to max(shape) * eps * the largest one count as zero,
+    the cut numpy.linalg.matrix_rank uses.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = max(a.shape) * np.finfo(s.dtype).eps * np.amax(s, initial=0.0)
+    return vh[int(np.sum(s > tol)):]
+
+
+def _nonnegative_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |a x - b| subject to x >= 0, for a of full column rank.
+
+    The unconstrained solution is returned when it is feasible. Otherwise
+    the optimum is the unconstrained solution over its own support (Lawson
+    & Hanson, Solving Least Squares Problems, 1974), a proper subset of
+    the columns here. With a few columns every such subset can be tried,
+    the empty one being x = 0: the feasible candidate with the least
+    residual wins.
+    """
+    x = np.linalg.lstsq(a, b, rcond=-1)[0]
+    if np.all(x >= 0.0):
+        return x
+    n = a.shape[1]
+    best, best_cost = np.zeros(n), float(b @ b)
+    for size in range(1, n):
+        for cols in map(list, itertools.combinations(range(n), size)):
+            sub = np.linalg.lstsq(a[:, cols], b, rcond=-1)[0]
+            if np.any(sub < 0.0):
+                continue
+            r = a[:, cols] @ sub - b
+            cost = float(r @ r)
+            if cost < best_cost:
+                best = np.zeros(n)
+                best[cols] = sub
+                best_cost = cost
+    return best
+
+
 def calibrate(
     dims: GridDims,
     filter_fraction: float,
@@ -435,8 +469,6 @@ def calibrate(
     # Stage 4: bounded linear least squares over
     # p = (base, big_idle, big_extra, little_idle, little_extra),
     # active power = idle + extra, so active >= idle holds by construction.
-    from scipy.optimize import lsq_linear
-
     dur1, occ1 = _occupancy(rep1)
     dur4, occ4 = _occupancy(rep4)
 
@@ -492,14 +524,11 @@ def calibrate(
     # rows; being orthogonal to the data rows, they leave the fit over the
     # observable directions untouched and make calibration a fixed point of
     # its own outputs.
-    from scipy.linalg import null_space
-
-    unobservable = null_space(a)
+    unobservable = _null_space_rows(a)
     if unobservable.size:
-        a = np.vstack([a, unobservable.T])
-        b = np.concatenate([b, unobservable.T @ p0])
-    sol = lsq_linear(a, b, bounds=(0.0, np.inf), tol=1e-14)
-    base_w, big_i, big_x, lit_i, lit_x = sol.x
+        a = np.vstack([a, unobservable])
+        b = np.concatenate([b, unobservable @ p0])
+    base_w, big_i, big_x, lit_i, lit_x = _nonnegative_lstsq(a, b)
 
     final_clusters = []
     for ct, n in fitted.clusters:

@@ -216,6 +216,26 @@ def test_run_rejects_non_finite_platform_numbers(tmp_path, line):
     assert proc.stderr == f"error: {path}: {key} must be finite, got {line.split()[-1]}\n"
 
 
+def test_calibrate_and_repro_do_not_import_scipy(tmp_path):
+    """The power fit is plain numpy: a fresh interpreter that calibrates and
+    runs paper-repro ends without any scipy module loaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(cli.CONFIG_ENV_VAR, None)
+    script = (
+        "import sys\n"
+        "from wavesched import cli\n"
+        f"assert cli.main(['calibrate', '--out', {str(tmp_path / 'fit.conf')!r}]) == 0\n"
+        f"assert cli.main(['paper-repro', '--frames', '1', '--out', "
+        f"{str(tmp_path / 'repro.csv')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # --- paper-repro --------------------------------------------------------------------
 
 

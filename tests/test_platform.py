@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wavesched import engine, policies
+from wavesched import platform as platform_mod
 from wavesched.platform import (
     BIG_LITTLE_SPEED_RATIO,
     CORE_ACTIVE,
@@ -18,7 +19,6 @@ from wavesched.platform import (
     config_to_text,
     default_platform,
     default_targets,
-    effective_speed,
     instantaneous_power,
     load_platform_config,
     parse_config_text,
@@ -78,6 +78,7 @@ def test_default_platform_shape():
     assert plat.big_ids == (0, 1, 2, 3)
     assert plat.little_ids == (4, 5, 6, 7)
     assert plat.sample_interval_s == 0.250
+    assert plat.cores[4].speed_wu_per_s == pytest.approx(1000.0 / BIG_LITTLE_SPEED_RATIO)
 
 
 def test_big_little_split_follows_speed():
@@ -86,30 +87,6 @@ def test_big_little_split_follows_speed():
     plat = Platform(clusters=((slow, 2), (fast, 1)))
     assert plat.big_ids == (2,)
     assert plat.little_ids == (0, 1)
-
-
-# --- effective speed ----------------------------------------------------------
-
-
-def test_effective_speed_single_thread():
-    big = default_platform().cores[0]
-    assert effective_speed(big, 1) == 1000.0
-
-
-def test_effective_speed_fair_share():
-    big = default_platform().cores[0]
-    assert effective_speed(big, 2) == 500.0
-
-
-def test_effective_speed_little_uses_fitted_ratio():
-    little = default_platform().cores[4]
-    assert little.speed_wu_per_s == pytest.approx(1000.0 / BIG_LITTLE_SPEED_RATIO)
-    assert effective_speed(little, 1) == pytest.approx(446.4, abs=0.05)
-
-
-def test_effective_speed_rejects_zero_threads():
-    with pytest.raises(ValueError):
-        effective_speed(default_platform().cores[0], 0)
 
 
 # --- instantaneous power ------------------------------------------------------
@@ -386,3 +363,50 @@ def test_calibrate_fixed_point_on_own_outputs(calib):
     ]
     for new, old in pairs:
         assert abs(new - old) <= 1e-9 * max(1.0, abs(old))
+
+
+def _assert_kkt(a, b, x, tol=1e-9):
+    """Optimality of x for min |a x - b|^2 subject to x >= 0: no feasible
+    descent direction, i.e. a zero gradient on free parameters and a
+    non-negative one on parameters held at the bound."""
+    grad = a.T @ (a @ x - b)
+    assert np.all(x >= 0.0)
+    for xi, gi in zip(x, grad):
+        if xi == 0.0:
+            assert gi >= -tol, (x, grad)
+        else:
+            assert abs(gi) <= tol, (x, grad)
+
+
+def test_nonnegative_lstsq_is_optimal_on_random_systems():
+    rng = np.random.default_rng(4)
+    bounded = 0
+    for _ in range(40):
+        a = rng.normal(size=(7, 5))
+        b = rng.normal(size=7)
+        x = platform_mod._nonnegative_lstsq(a, b)
+        bounded += bool(np.any(x == 0.0))
+        _assert_kkt(a, b, x)
+    assert bounded > 30
+
+
+def test_calibrate_bounded_fit_meets_kkt_conditions(monkeypatch):
+    """Half the board's serial energy drives idle power below 0 in the
+    unconstrained fit; the bounded fit holds idle and base power at 0 and is
+    optimal on the weighted system it solves."""
+    seen = []
+    solve = platform_mod._nonnegative_lstsq
+
+    def spy(a, b):
+        x = solve(a, b)
+        seen.append((a, b, x))
+        return x
+
+    monkeypatch.setattr(platform_mod, "_nonnegative_lstsq", spy)
+    targets = default_targets()
+    targets["epf_big_1"] *= 0.5
+    fit = calibrate(DIMS, 0.15, targets=targets)
+    (a, b, x), = seen
+    assert np.any(np.linalg.lstsq(a, b, rcond=-1)[0] < 0.0)
+    assert fit.platform.base_power_w == 0.0 == x[0]
+    _assert_kkt(a, b, x)
