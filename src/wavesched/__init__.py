@@ -7,9 +7,7 @@ from wavesched.wpp_graph import (
     GridDims,
     Phase,
     TaskId,
-    frame_barrier,
     filter_deps,
-    ready_tasks,
     recon_deps,
     wavefront_width,
 )
@@ -21,9 +19,7 @@ __all__ = [
     "GridDims",
     "Phase",
     "TaskId",
-    "frame_barrier",
     "filter_deps",
-    "ready_tasks",
     "recon_deps",
     "wavefront_width",
     "__version__",

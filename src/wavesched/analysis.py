@@ -35,6 +35,10 @@ from wavesched.wpp_graph import (
     task_deps,
 )
 
+# About 69 simulated hours at 250 ms. Longer runs come from a scale error
+# (huge work units, a near-zero core speed), not from decoding video.
+MAX_POWER_SAMPLES = 1_000_000
+
 
 @dataclass
 class SimReport:
@@ -50,7 +54,6 @@ class SimReport:
     migrations: int
     core_active_s: dict[int, float]
     core_utilization: dict[int, float]
-    config: object = None
 
     def __post_init__(self) -> None:
         # Explicit checks rather than asserts, so that they hold under python -O.
@@ -66,20 +69,18 @@ class SimReport:
                 raise ValueError(f"core {core} utilization {u} exceeds 1")
 
 
-def compute_metrics(trace, platform: Platform | None = None, simd: bool = False,
-                    config=None) -> SimReport:
+def compute_metrics(trace, platform: Platform, simd: bool) -> SimReport:
     """Exact piecewise-constant energy integration over a finished trace."""
-    if config is not None:
-        platform = config.platform
-        simd = config.simd
-    if platform is None:
-        raise ValueError("compute_metrics needs a platform (or a config)")
     if not trace or trace[-1].kind != "FrameComplete":
         raise ValueError("truncated trace: missing final FrameComplete")
 
+    wall = trace[-1].time_s
+    interval = platform.sample_interval_s
+    if wall / interval > MAX_POWER_SAMPLES:
+        raise ValueError(f"{wall:.6g} s of simulated time needs more than "
+                         f"{MAX_POWER_SAMPLES} power samples at {interval:g} s")
     frames = sum(1 for ev in trace if ev.kind == "FrameComplete")
     migrations = sum(1 for ev in trace if ev.kind == "Migration")
-    wall = trace[-1].time_s
 
     # Per-thread running intervals (start, end, core, simd_work). CtuStart and
     # Migration open a segment; CtuComplete and ThreadIdle close it; frame
@@ -165,7 +166,6 @@ def compute_metrics(trace, platform: Platform | None = None, simd: bool = False,
                 active_s[c] += dt
 
     samples: list[tuple[float, float]] = []
-    interval = platform.sample_interval_s
     k = 0
     while (k + 0.5) * interval < wall:
         t = (k + 0.5) * interval
@@ -189,7 +189,6 @@ def compute_metrics(trace, platform: Platform | None = None, simd: bool = False,
         migrations=migrations,
         core_active_s=active_s,
         core_utilization={c: active_s[c] / wall for c in active_s},
-        config=config,
     )
 
 
@@ -207,7 +206,7 @@ def analytic_wavefront_makespan(dims: GridDims, t_ctu: float) -> float:
 
 
 class _RefThread:
-    __slots__ = ("core", "row", "col", "rem", "task", "status", "idle")
+    __slots__ = ("core", "row", "col", "rem", "task", "status")
 
     def __init__(self):
         self.core = None
@@ -404,7 +403,6 @@ def reference_simulate(config):
                             th.row, th.col = act.row, 0
                         elif isinstance(act, BindTo):
                             if act.core is None:
-                                src = th.core
                                 state.bindings[tid] = None
                                 th.core = None
                                 th.status = "wait_little"

@@ -80,7 +80,7 @@ def _parse_policies_list(text: str) -> list[str]:
 
 def _platform_from_args(args) -> tuple[platform_mod.Platform, float | None]:
     """Platform and optional mean_wu from --platform, $WAVESCHED_CONFIG, or defaults."""
-    path = getattr(args, "platform", None) or os.environ.get(CONFIG_ENV_VAR)
+    path = args.platform or os.environ.get(CONFIG_ENV_VAR)
     if path:
         return platform_mod.load_platform_config(path)
     return platform_mod.default_platform(), None
@@ -104,31 +104,6 @@ def _workload_from_args(args, file_mean_wu: float | None) -> workload.WorkloadSp
         sigma=args.sigma,
         seed=args.seed,
         path=path,
-    )
-
-
-def load_config(path: str | None, args=None) -> engine.SimConfig:
-    """SimConfig from a platform config file plus CLI overrides (CLI wins).
-
-    `path` may be None, in which case the shipped platform defaults apply.
-    `args` is the parsed argparse namespace of the `run` subcommand; None
-    means library defaults for everything beyond the platform.
-    """
-    if args is None:
-        args = _build_parser().parse_args(["run"])
-    if path:
-        plat, file_mean = platform_mod.load_platform_config(path)
-    else:
-        plat, file_mean = _platform_from_args(args)
-    wl = _workload_from_args(args, file_mean)
-    spec = policies.PolicySpec(kind=policies.canonical_kind(args.policy), threads=args.threads)
-    return engine.SimConfig(
-        dims=args.grid,
-        frames=args.frames,
-        workload=wl,
-        platform=plat,
-        policy=spec,
-        simd=args.simd,
     )
 
 
@@ -161,7 +136,15 @@ def _cell_dict(key, cell) -> dict:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.platform or os.environ.get(CONFIG_ENV_VAR), args)
+    plat, file_mean = _platform_from_args(args)
+    cfg = engine.SimConfig(
+        dims=args.grid,
+        frames=args.frames,
+        workload=_workload_from_args(args, file_mean),
+        platform=plat,
+        policy=policies.PolicySpec(kind=args.policy, threads=args.threads),
+        simd=args.simd,
+    )
     _, report = engine.simulate(cfg)
     key = (cfg.policy.kind, cfg.policy.threads, cfg.simd)
     if args.format == "json":
@@ -257,14 +240,20 @@ def _cmd_paper_repro(args) -> int:
     return 0
 
 
-def _add_common_flags(sub, default_format: str) -> None:
+def _add_common_flags(sub) -> None:
     sub.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID,
                      metavar="RxC", help="CTU grid, rows x columns (default 17x30)")
-    sub.add_argument("--frames", type=int, default=DEFAULT_FRAMES,
-                     help=f"frames to simulate (default {DEFAULT_FRAMES})")
+    sub.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+
+
+def _add_platform_flag(sub) -> None:
     sub.add_argument("--platform", metavar="PATH",
                      help=f"platform config file (default ${CONFIG_ENV_VAR} or built-ins)")
-    sub.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+
+
+def _add_table_flags(sub, default_format: str) -> None:
+    sub.add_argument("--frames", type=int, default=DEFAULT_FRAMES,
+                     help=f"frames to simulate (default {DEFAULT_FRAMES})")
     sub.add_argument("--format", choices=("csv", "json"), default=default_format,
                      help=f"output format (default {default_format})")
 
@@ -289,7 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     run = subs.add_parser("run", help="simulate one configuration")
-    _add_common_flags(run, default_format="json")
+    _add_common_flags(run)
+    _add_platform_flag(run)
+    _add_table_flags(run, default_format="json")
     _add_workload_flags(run)
     run.add_argument("--policy", default="big-os",
                      metavar="{big-os|little|static|affinity}",
@@ -300,7 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     sweep = subs.add_parser("sweep", help="simulate a policy x threads x simd grid")
-    _add_common_flags(sweep, default_format="csv")
+    _add_common_flags(sweep)
+    _add_platform_flag(sweep)
+    _add_table_flags(sweep, default_format="csv")
     _add_workload_flags(sweep)
     sweep.add_argument("--threads", type=_parse_threads_list, default=list(range(1, 9)),
                        metavar="LIST", help="thread counts, e.g. 1..8 or 1,2,4 (default 1..8)")
@@ -313,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cal = subs.add_parser("calibrate",
                           help="fit workload scale and power constants; write a config")
-    _add_common_flags(cal, default_format="csv")
+    _add_common_flags(cal)
+    _add_platform_flag(cal)
     cal.add_argument("--filter-fraction", type=float,
                      default=workload.DEFAULT_FILTER_FRACTION, dest="filter_fraction",
                      help="filter share of frame work used by the probe runs")
@@ -321,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     repro = subs.add_parser("paper-repro",
                             help="re-run the bundled reference grid and report deviations")
-    _add_common_flags(repro, default_format="csv")
+    _add_common_flags(repro)
+    _add_table_flags(repro, default_format="csv")
     repro.add_argument("--filter-fraction", type=float,
                        default=workload.DEFAULT_FILTER_FRACTION, dest="filter_fraction",
                        help="filter share of frame work")

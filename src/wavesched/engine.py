@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from wavesched.platform import Platform
 from wavesched.policies import (
@@ -72,7 +72,7 @@ class DeadlockError(RuntimeError):
 class SimConfig:
     dims: GridDims
     frames: int
-    workload: WorkloadSpec | tuple[CostModel, ...]
+    workload: WorkloadSpec
     platform: Platform
     policy: PolicySpec
     simd: bool = False
@@ -80,38 +80,24 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
-        if not isinstance(self.workload, WorkloadSpec):
-            models = tuple(self.workload)
-            if len(models) < self.frames:
-                raise ValueError(f"{len(models)} cost tables for {self.frames} frames")
-            for m in models:
-                if m.dims != self.dims:
-                    raise ValueError(
-                        f"cost table {m.dims.rows}x{m.dims.cols} does not match "
-                        f"grid {self.dims.rows}x{self.dims.cols}"
-                    )
-            object.__setattr__(self, "workload", models)
 
-    def cost_models(self) -> Sequence[CostModel]:
-        if isinstance(self.workload, WorkloadSpec):
-            return generate(self.workload, self.dims, self.frames)
-        return self.workload
+    def cost_models(self) -> list[CostModel]:
+        return generate(self.workload, self.dims, self.frames)
 
 
 class _Thread:
-    __slots__ = (
-        "id", "row", "col", "job_remaining", "job_task", "job_index", "status",
-        "idle_logged",
-    )
+    """Engine-side progress of one thread. Its row, parking and wait for a
+    slow core live in `SchedState`; it is running exactly while
+    `job_remaining` is not None."""
+
+    __slots__ = ("id", "col", "job_remaining", "job_task", "job_index", "idle_logged")
 
     def __init__(self, tid: int):
         self.id = tid
-        self.row: int | None = None
-        self.col = 0
+        self.col = 0  # next CTU of the row in state.rows[id]
         self.job_remaining: float | None = None  # wu; None = no job
         self.job_task: TaskId | None = None  # None while job runs overhead
         self.job_index = 0  # frame_graph index of job_task; n_tasks for overhead
-        self.status = "stalled"  # run | stalled | wait_little | parked
         self.idle_logged = False
 
 
@@ -156,13 +142,7 @@ class _Sim:
         self.state: SchedState = self.policy.initial_assignment(
             self.spec, self.platform, dims
         )
-        self.threads = {t: _Thread(t) for t in self.state.bindings}
-        self.thread_list = [self.threads[t] for t in sorted(self.threads)]
-        for t, th in self.threads.items():
-            th.row = self.state.rows[t]
-            th.col = 0
-            if t in self.state.parked:
-                th.status = "parked"
+        self.threads = [_Thread(t) for t in range(self.spec.threads)]
         model = self.models[self.frame]
         v, s = model.vector_fraction, model.vector_speedup
         self.recon_cost = [
@@ -188,12 +168,10 @@ class _Sim:
         core = self.state.bindings[th.id]
         if th.idle_logged:
             self.emit(EV_THREAD_RESUME, th.id, core)
-        th.status = "run"
         th.idle_logged = False
         self.emit(EV_CTU_START, th.id, core, task)
 
     def _stall(self, th: _Thread):
-        th.status = "stalled"
         th.job_remaining = None
         th.job_task = None
         if not th.idle_logged:
@@ -202,12 +180,13 @@ class _Sim:
 
     def _try_start_recon(self, tid: int):
         """Start the thread's next CTU, or stall on its upper dependency."""
-        th = self.threads[tid]
-        if th.row is None or th.status == "parked" or th.status == "wait_little":
+        row = self.state.rows[tid]
+        if row is None or tid in self.state.waiting_little:
             return
-        k = th.row * self.dims.cols + th.col
+        th = self.threads[tid]
+        k = row * self.dims.cols + th.col
         if self.pending[k] == 0:
-            self._start(th, TaskId(self.frame, Phase.RECON, th.row, th.col), k, self.recon_cost[k])
+            self._start(th, TaskId(self.frame, Phase.RECON, row, th.col), k, self.recon_cost[k])
         else:
             self.stalled_on[k] = tid
             self._stall(th)
@@ -220,7 +199,6 @@ class _Sim:
         th.job_remaining = self.spec.migration_overhead_s * self.core_speed[dest]
         th.job_task = None
         th.job_index = self.n_tasks
-        th.status = "run"
         th.idle_logged = False
         return True
 
@@ -246,8 +224,6 @@ class _Sim:
         if self.state.residents(core):
             return
         tid = self.state.waiting_little.pop(0)
-        th = self.threads[tid]
-        th.status = "stalled"
         self.state.bindings[tid] = core
         self.emit(EV_MIGRATION, thread=tid, core=core, src_core=None)
         if not self._start_overhead(tid, core):
@@ -263,14 +239,13 @@ class _Sim:
             if isinstance(act, TakeRow):
                 self.state.rows[tid] = act.row
                 self.state.next_row = max(self.state.next_row, act.row + 1)
-                th.row, th.col = act.row, 0
+                th.col = 0
                 took_row = True
             elif isinstance(act, BindTo):
                 src = self.state.bindings[tid]
                 if act.core is None:
                     self.state.bindings[tid] = None
                     self.state.waiting_little.append(tid)
-                    th.status = "wait_little"
                     self.emit(EV_THREAD_IDLE, thread=tid, core=src)
                     th.idle_logged = True
                     moved = True
@@ -279,15 +254,13 @@ class _Sim:
                     moved = True
             elif isinstance(act, Idle):
                 self.state.rows[tid] = None
-                th.row = None
                 self.state.parked.add(tid)
-                th.status = "parked"
                 self.emit(EV_THREAD_IDLE, thread=tid, core=self.state.bindings[tid])
                 th.idle_logged = True
                 src = self.state.bindings[tid]
                 if src is not None and src in self.platform.little_set:
                     self._fill_little_vacancy(src)
-        if took_row and not moved and th.job_remaining is None and th.status != "wait_little":
+        if took_row and not moved and th.job_remaining is None:
             self._try_start_recon(tid)
 
     def _migrate_if_asked(self, tid: int, actions) -> bool:
@@ -331,7 +304,6 @@ class _Sim:
                 EV_ROW_COMPLETE, thread=tid, core=self.state.bindings[tid], task=task
             )
             self.state.rows[tid] = None
-            th.row = None
             actions = self.policy.on_row_complete(self.state, tid)
             self._apply_row_actions(tid, actions)
 
@@ -344,9 +316,6 @@ class _Sim:
         rebinds = self.policy.filter_stage_start(self.state)
         self.state.parked.clear()
         self.state.waiting_little.clear()
-        for th in self.thread_list:
-            if th.status in ("parked", "wait_little", "stalled"):
-                th.status = "stalled"
         for tid, bind in rebinds:
             src = self.state.bindings[tid]
             if bind.core is not None and bind.core != src:
@@ -354,14 +323,12 @@ class _Sim:
                 self.emit(EV_MIGRATION, thread=tid, core=bind.core, src_core=src)
                 self._start_overhead(tid, bind.core)
         self.filter_ready = list(self.filter_roots)  # ascending, so a heap
-        for th in self.thread_list:
+        for th in self.threads:
             if th.job_remaining is None:
                 self._filter_pull(th.id)
 
     def _filter_pull(self, tid: int):
         th = self.threads[tid]
-        if th.status == "parked":
-            th.status = "stalled"
         if self.filter_ready:
             k = heapq.heappop(self.filter_ready)
             p, rest = divmod(k, self.n_ctus)
@@ -399,8 +366,8 @@ class _Sim:
     def run(self) -> list[SimEvent]:
         for self.frame in range(self.config.frames):
             self._reset_frame()
-            for th in self.thread_list:
-                if th.status != "parked":
+            for th in self.threads:
+                if th.id not in self.state.parked:
                     self._try_start_recon(th.id)
                 else:
                     self.emit(EV_THREAD_IDLE, thread=th.id, core=self.state.bindings[th.id])
@@ -410,8 +377,9 @@ class _Sim:
 
     def _blocked_report(self) -> list[str]:
         out = [
-            f"thread {th.id}: status={th.status} row={th.row} col={th.col}"
-            for th in self.thread_list
+            f"thread {th.id}: core={self.state.bindings[th.id]} "
+            f"row={self.state.rows[th.id]} col={th.col} job={th.job_task}"
+            for th in self.threads
         ]
         n = self.n_ctus
         if self.stage == "recon":
@@ -421,7 +389,7 @@ class _Sim:
         return out
 
     def _run_frame(self):
-        threads = self.thread_list
+        threads = self.threads
         bindings = self.state.bindings
         speed, demand, kappa = self.core_speed, self.core_demand, self.kappa
 
@@ -483,7 +451,7 @@ def simulate(config: SimConfig):
     from wavesched import analysis
 
     trace = _Sim(config).run()
-    report = analysis.compute_metrics(trace, config=config)
+    report = analysis.compute_metrics(trace, config.platform, config.simd)
     return trace, report
 
 

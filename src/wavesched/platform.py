@@ -274,11 +274,6 @@ def load_platform_config(path) -> tuple[Platform, float | None]:
         return parse_config_text(f.read(), origin=str(path))
 
 
-def write_platform_config(path, platform: Platform, mean_wu: float | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(config_to_text(platform, mean_wu))
-
-
 # --- calibration -------------------------------------------------------------
 
 REQUIRED_TARGETS = ("fps_big_1", "fps_big_4", "epf_big_1", "epf_big_4")
@@ -318,10 +313,9 @@ class CalibrationResult:
             raise ValueError(f"speed ratio must exceed 1, got {self.speed_ratio}")
 
 
-def _occupancy(report) -> tuple[float, dict[str, float]]:
+def _occupancy(report, platform: Platform) -> tuple[float, dict[str, float]]:
     """Duration and per-class core-seconds {big/little x active/idle} of a run."""
     acc = {"big_active": 0.0, "big_idle": 0.0, "little_active": 0.0, "little_idle": 0.0}
-    platform = report.config.platform
     big = set(platform.big_ids)
     for core_id, active_s in report.core_active_s.items():
         cls = "big" if core_id in big else "little"
@@ -469,8 +463,8 @@ def calibrate(
     # Stage 4: bounded linear least squares over
     # p = (base, big_idle, big_extra, little_idle, little_extra),
     # active power = idle + extra, so active >= idle holds by construction.
-    dur1, occ1 = _occupancy(rep1)
-    dur4, occ4 = _occupancy(rep4)
+    dur1, occ1 = _occupancy(rep1, probe_platform)
+    dur4, occ4 = _occupancy(rep4, fitted)
 
     def energy_row(dur, occ):
         return np.array(

@@ -94,6 +94,10 @@ class Idle:
 class SchedState:
     """What a policy may observe: bindings, row ownership, and occupancy.
 
+    This is the one record of each thread's binding, row, parking and wait
+    for a slow core (`waiting_little`); the engine updates it in place and
+    keeps no copy.
+
     A parked thread (out of rows) keeps its binding for bookkeeping but no
     longer occupies the core: a sleeping thread does not keep a core busy,
     so the core counts as idle for migration decisions.
@@ -106,11 +110,6 @@ class SchedState:
     next_row: int = 0
     parked: set[int] = field(default_factory=set)
     waiting_little: list[int] = field(default_factory=list)
-    stage: str = "recon"
-
-    @property
-    def n_threads(self) -> int:
-        return len(self.bindings)
 
     def residents(self, core: int) -> list[int]:
         return [

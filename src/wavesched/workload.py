@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from wavesched.wpp_graph import GridDims, Phase, TaskId
+from wavesched.wpp_graph import GridDims, Phase
 
 DEFAULT_FILTER_FRACTION = 0.15
 DEFAULT_FILTER_SPLIT = (0.3, 0.3, 0.4)
@@ -80,14 +80,6 @@ class CostModel:
         share = self.filter_split[_SPLIT_INDEX[phase]]
         return self.filter_total() * share / self.recon.size
 
-    def task_cost(self, task: TaskId) -> float:
-        if task.phase is Phase.RECON:
-            return float(self.recon[task.row, task.col])
-        return self.filter_cost_per_ctu(task.phase)
-
-    def frame_total(self) -> float:
-        return self.recon_total() + self.filter_total()
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -104,6 +96,8 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "lognormal", "trace"):
             raise ValueError(f"unknown workload kind {self.kind!r}")
+        if not math.isfinite(self.mean_wu):
+            raise ValueError(f"mean_wu must be finite, got {self.mean_wu}")
         if self.kind != "trace" and self.mean_wu <= 0:
             raise ValueError(f"mean_wu must be positive, got {self.mean_wu}")
         if self.sigma < 0:

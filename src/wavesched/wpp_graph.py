@@ -28,10 +28,6 @@ class Phase(enum.Enum):
     VFILTER = "vfilter"
     SAO = "sao"
 
-    @property
-    def is_filter(self) -> bool:
-        return self is not Phase.RECON
-
 
 # Pass order within the filter stage; also the dispatch priority.
 FILTER_PHASES = (Phase.HFILTER, Phase.VFILTER, Phase.SAO)
@@ -113,15 +109,6 @@ def filter_deps(task: TaskId, dims: GridDims) -> list[TaskId]:
     return deps
 
 
-def frame_barrier(dims: GridDims, frame: int = 0) -> frozenset[TaskId]:
-    """The set of tasks every filter task of the frame waits on."""
-    return frozenset(
-        TaskId(frame, Phase.RECON, i, j)
-        for i in range(dims.rows)
-        for j in range(dims.cols)
-    )
-
-
 def all_tasks(dims: GridDims, frame: int = 0) -> Iterator[TaskId]:
     """Every task of one frame in (phase, row, col) order."""
     for phase in PHASES:
@@ -164,32 +151,6 @@ def frame_graph(dims: GridDims) -> FrameGraph:
             successors[PHASES.index(dep.phase) * n + dep.row * cols + dep.col].append(k)
             indegree[k] += 1
     return FrameGraph(tuple(map(tuple, successors)), tuple(indegree))
-
-
-def ready_tasks(
-    progress: frozenset[TaskId] | set[TaskId], dims: GridDims, frame: int = 0
-) -> set[TaskId]:
-    """All incomplete tasks whose dependencies (and barrier) are satisfied.
-
-    `progress` is the set of completed tasks; it must be dependency-closed.
-    """
-    progress = frozenset(progress)
-    for task in progress:
-        for dep in task_deps(task, dims):
-            if dep not in progress:
-                raise ValueError(
-                    f"progress set is not dependency-closed: {task} done, {dep} not"
-                )
-    barrier_met = all(t in progress for t in frame_barrier(dims, frame))
-    ready: set[TaskId] = set()
-    for task in all_tasks(dims, frame):
-        if task in progress:
-            continue
-        if task.phase.is_filter and not barrier_met:
-            continue
-        if all(dep in progress for dep in task_deps(task, dims)):
-            ready.add(task)
-    return ready
 
 
 def recon_ancestors(coord: CtuCoord, dims: GridDims) -> set[CtuCoord]:

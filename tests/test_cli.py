@@ -1,17 +1,20 @@
 """Command-line behavior: subcommand smoke runs, output formats, exit codes,
 config plumbing, and atomic file writes."""
 
+import argparse
 import csv
 import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from wavesched import cli, engine, platform as platform_mod
+from wavesched import cli, engine, platform as platform_mod, policies
 from wavesched.platform import default_platform
 
 
@@ -76,13 +79,39 @@ def test_run_rejects_pathless_trace_workload(capsys):
 
 
 def test_deadlock_exits_with_code_two(capsys, monkeypatch):
-    def boom(cfg):
-        raise engine.DeadlockError("no runnable thread", ["thread 0 stalled"])
+    class RowHoarder(policies.BigOnlyOs):
+        def on_row_complete(self, state, thread):
+            return []  # no next row, no parking: the frame deadlocks
 
-    monkeypatch.setattr(engine, "simulate", boom)
-    code, _, err = _run_cli(["run", "--grid", "1x1"], capsys)
-    assert code == 2
-    assert "simulation error" in err
+    monkeypatch.setattr(engine, "make_policy", lambda kind: RowHoarder())
+    code, out, err = _run_cli(["run", "--grid", "2x3", "--frames", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("simulation error: no runnable thread at t=")
+    assert err.endswith(": thread 0: core=0 row=None col=2 job=None; recon done 3/6\n")
+
+
+@pytest.mark.parametrize("mean_wu", ["inf", "1e300"])
+def test_run_rejects_unbounded_simulated_time(mean_wu):
+    """Both once hung in the power-sample loop while memory grew by about
+    250 MiB/s. A fresh interpreter under a 1 GiB address-space cap and a
+    timeout, so a regression fails instead of exhausting the host."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env.pop(cli.CONFIG_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavesched.cli", "run", "--grid", "2x2", "--frames", "1",
+         "--mean-wu", mean_wu],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    if mean_wu == "inf":
+        assert proc.stderr == "error: mean_wu must be finite, got inf\n"
+    else:
+        assert proc.stderr.startswith("error: ")
+        assert "needs more than 1000000 power samples" in proc.stderr
 
 
 # --- sweep -----------------------------------------------------------------------
@@ -258,3 +287,69 @@ def test_repro_output_is_reproducible_and_atomic(tmp_path, capsys):
     deviation_rows = list(csv.reader(io.StringIO(blocks[1])))
     assert deviation_rows[0][:4] == ["policy", "threads", "simd", "metric"]
     assert len(deviation_rows) > 20
+
+
+# --- every flag acts ------------------------------------------------------------------
+
+# Per subcommand: a small base invocation, then one non-default value per flag.
+_FLAG_BASE = {
+    "run": ["--grid", "3x4", "--frames", "1"],
+    "sweep": ["--grid", "3x4", "--frames", "1", "--threads", "1", "--policies", "big-os"],
+    "calibrate": ["--grid", "3x4"],
+    "paper-repro": ["--grid", "3x4", "--frames", "1"],
+}
+_FLAG_VALUE = {
+    "--grid": "2x3",
+    "--frames": "2",
+    "--workload": "uniform",
+    "--mean-wu": "50",
+    "--sigma": "0.8",
+    "--seed": "3",
+    "--policy": "affinity",
+    "--policies": "little",
+    "--filter-fraction": "0.2",
+}
+_FLAG_VALUE_FOR = {
+    ("run", "--threads"): "2",
+    ("run", "--simd"): "on",
+    ("sweep", "--threads"): "1,2",
+    ("sweep", "--simd"): "off,on",
+}
+
+
+def _subcommands():
+    parser = cli._build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+@pytest.mark.parametrize("command", list(_FLAG_BASE))
+def test_every_accepted_flag_acts(command, tmp_path, capsys, monkeypatch):
+    """A flag a subcommand accepts must change its output, or fail with exit
+    code 1 and a message; a flag the handler ignores is a silent no-op."""
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    platform_file = tmp_path / "board.conf"
+    platform_file.write_text(platform_mod.config_to_text(
+        replace(default_platform(), base_power_w=1.5), 80.0))
+    base = [command] + _FLAG_BASE[command]
+    code, base_out, err = _run_cli(base, capsys)
+    assert code == 0, err
+    sub = _subcommands()[command]
+    flags = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+    assert flags
+    idle = []
+    for action in flags:
+        flag = action.option_strings[0]
+        if flag == "--format":
+            value = "csv" if action.default == "json" else "json"
+        elif flag == "--out":
+            value = str(tmp_path / "out.txt")
+        elif flag == "--platform":
+            value = str(platform_file)
+        else:
+            value = _FLAG_VALUE_FOR.get((command, flag), _FLAG_VALUE.get(flag))
+        assert value is not None, f"no probe value for {command} {flag}"
+        code, out, err = _run_cli(base + [flag, value], capsys)
+        if not ((code == 0 and out != base_out) or (code == 1 and err.startswith("error: "))):
+            idle.append(f"{flag} {value}")
+    assert idle == []

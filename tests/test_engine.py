@@ -5,7 +5,7 @@ import pytest
 from wavesched import engine, policies
 from wavesched.analysis import analytic_wavefront_makespan, reference_simulate
 from wavesched.platform import CoreType, Platform, default_platform
-from wavesched.workload import WorkloadSpec, effective_cost, generate
+from wavesched.workload import WorkloadSpec, effective_cost
 from wavesched.wpp_graph import GridDims, Phase
 
 PLAT = default_platform()
@@ -44,31 +44,6 @@ def _config(dims, kind="big-os", threads=1, *, mean=100.0, phi=0.0,
 def test_config_rejects_zero_frames():
     with pytest.raises(ValueError):
         _config(GridDims(2, 2), frames=0)
-
-
-def test_config_rejects_model_count_mismatch():
-    dims = GridDims(2, 2)
-    models = tuple(generate(WorkloadSpec(kind="uniform", mean_wu=1.0), dims, 1))
-    with pytest.raises(ValueError):
-        engine.SimConfig(
-            dims=dims,
-            frames=2,
-            workload=models,
-            platform=PLAT,
-            policy=policies.PolicySpec(kind="big-os", threads=1),
-        )
-
-
-def test_config_rejects_model_dims_mismatch():
-    models = tuple(generate(WorkloadSpec(kind="uniform", mean_wu=1.0), GridDims(2, 3), 1))
-    with pytest.raises(ValueError):
-        engine.SimConfig(
-            dims=GridDims(3, 2),
-            frames=1,
-            workload=models,
-            platform=PLAT,
-            policy=policies.PolicySpec(kind="big-os", threads=1),
-        )
 
 
 # --- makespans on uniform costs ---------------------------------------------------
@@ -148,7 +123,7 @@ def test_work_conservation_without_overhead():
         rep.core_active_s[c] * PLAT.cores[c].speed_wu_per_s
         for c in rep.core_active_s
     )
-    total_wu = sum(m.frame_total() for m in cfg.cost_models())
+    total_wu = sum(m.recon_total() + m.filter_total() for m in cfg.cost_models())
     assert busy_wu == pytest.approx(total_wu, rel=1e-9)
 
 
@@ -221,11 +196,26 @@ def test_migrations_counted_for_affinity():
 # --- errors and sweep harness -----------------------------------------------------
 
 
-def test_deadlock_error_shape():
-    err = engine.DeadlockError("no runnable thread at t=1.0", ["thread 0: stalled"])
+class RowHoarder(policies.BigOnlyOs):
+    """Takes no next row and never parks: every thread ends its first row
+    with nothing to run, so the frame deadlocks."""
+
+    def on_row_complete(self, state, thread):
+        return []
+
+
+def test_deadlock_error_shape(monkeypatch):
+    monkeypatch.setattr(engine, "make_policy", lambda kind: RowHoarder())
+    with pytest.raises(engine.DeadlockError) as info:
+        engine.simulate(_config(GridDims(3, 4), threads=2))
+    err = info.value
     assert isinstance(err, RuntimeError)
-    assert err.blocked == ["thread 0: stalled"]
-    assert "no runnable thread" in str(err)
+    assert err.blocked == [
+        "thread 0: core=0 row=None col=3 job=None",
+        "thread 1: core=1 row=None col=3 job=None",
+        "recon done 8/12",
+    ]
+    assert str(err).startswith("no runnable thread at t=0.")
 
 
 def test_run_sweep_isolates_failing_cells():

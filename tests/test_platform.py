@@ -22,7 +22,6 @@ from wavesched.platform import (
     instantaneous_power,
     load_platform_config,
     parse_config_text,
-    write_platform_config,
 )
 from wavesched.workload import WorkloadSpec
 from wavesched.wpp_graph import GridDims
@@ -153,7 +152,7 @@ def test_power_monotone_in_activity():
 def test_config_round_trip(tmp_path):
     plat = default_platform()
     path = tmp_path / "board.cfg"
-    write_platform_config(path, plat, mean_wu=0.25)
+    path.write_text(config_to_text(plat, mean_wu=0.25))
     loaded, mean_wu = load_platform_config(path)
     assert loaded == plat
     assert mean_wu == 0.25

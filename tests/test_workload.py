@@ -13,7 +13,7 @@ from wavesched.workload import (
     load_trace,
     write_trace,
 )
-from wavesched.wpp_graph import GridDims, Phase, TaskId
+from wavesched.wpp_graph import GridDims, Phase
 
 
 def test_uniform_generator_fills_mean():
@@ -98,14 +98,13 @@ def test_filter_cost_split_arithmetic():
     assert h == pytest.approx(105.88235294117646 * 0.3 / 6)
     assert v == pytest.approx(h)
     assert sao == pytest.approx(105.88235294117646 * 0.4 / 6)
-    assert model.frame_total() == pytest.approx(600.0 / 0.85)
+    assert model.recon_total() + model.filter_total() == pytest.approx(600.0 / 0.85)
 
 
 def test_zero_filter_fraction_means_zero_filter_cost():
     model = CostModel(recon=np.full((2, 2), 50.0), filter_fraction=0.0)
     assert model.filter_total() == 0.0
-    assert model.task_cost(TaskId(0, Phase.SAO, 1, 1)) == 0.0
-    assert model.task_cost(TaskId(0, Phase.RECON, 1, 1)) == 50.0
+    assert model.filter_cost_per_ctu(Phase.SAO) == 0.0
 
 
 def test_cost_model_rejects_bad_inputs():

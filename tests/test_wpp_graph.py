@@ -10,9 +10,7 @@ from wavesched.wpp_graph import (
     TaskId,
     all_tasks,
     filter_deps,
-    frame_barrier,
     frame_graph,
-    ready_tasks,
     recon_ancestors,
     recon_deps,
     task_deps,
@@ -99,21 +97,33 @@ def test_filter_deps_rejects_recon_task():
         filter_deps(TaskId(0, Phase.RECON, 0, 0), DIMS)
 
 
-def test_frame_barrier_is_all_recon_tasks():
-    small = GridDims(2, 3)
-    barrier = frame_barrier(small)
-    assert len(barrier) == 6
-    assert all(t.phase is Phase.RECON for t in barrier)
-    assert frame_barrier(GridDims(1, 1)) == frozenset({TaskId(0, Phase.RECON, 0, 0)})
+def _ready_tasks(progress, dims):
+    """Tasks the engine may start once `progress` is done: every `frame_graph`
+    in-edge met and, for a filter task, every reconstruction task done (the
+    frame barrier, which the graph leaves out)."""
+    tasks = list(all_tasks(dims))
+    graph = frame_graph(dims)
+    done = [t in progress for t in tasks]
+    met = [0] * len(tasks)
+    for k in range(len(tasks)):
+        if done[k]:
+            for succ in graph.successors[k]:
+                met[succ] += 1
+    barrier = all(done[: dims.n_ctus])
+    return {
+        t for k, t in enumerate(tasks)
+        if not done[k] and met[k] == graph.indegree[k]
+        and (t.phase is Phase.RECON or barrier)
+    }
 
 
 def test_ready_tasks_empty_progress():
-    assert ready_tasks(set(), DIMS) == {TaskId(0, Phase.RECON, 0, 0)}
+    assert _ready_tasks(set(), DIMS) == {TaskId(0, Phase.RECON, 0, 0)}
 
 
 def test_ready_tasks_row_unblocks_after_two_top_ctus():
     progress = {TaskId(0, Phase.RECON, 0, 0), TaskId(0, Phase.RECON, 0, 1)}
-    assert ready_tasks(progress, DIMS) == {
+    assert _ready_tasks(progress, DIMS) == {
         TaskId(0, Phase.RECON, 0, 2),
         TaskId(0, Phase.RECON, 1, 0),
     }
@@ -121,7 +131,7 @@ def test_ready_tasks_row_unblocks_after_two_top_ctus():
 
 def test_ready_tasks_after_three_top_row_ctus():
     progress = {TaskId(0, Phase.RECON, 0, j) for j in range(3)}
-    assert ready_tasks(progress, DIMS) == {
+    assert _ready_tasks(progress, DIMS) == {
         TaskId(0, Phase.RECON, 0, 3),
         TaskId(0, Phase.RECON, 1, 0),
     }
@@ -134,14 +144,9 @@ def test_ready_tasks_row3_start_gated_by_ctu_2_1():
         for c in recon_ancestors(CtuCoord(3, 0), DIMS)
     }
     target = TaskId(0, Phase.RECON, 3, 0)
-    assert target in ready_tasks(closure, DIMS)
+    assert target in _ready_tasks(closure, DIMS)
     without_gate = closure - {TaskId(0, Phase.RECON, 2, 1)}
-    assert target not in ready_tasks(without_gate, DIMS)
-
-
-def test_ready_tasks_rejects_non_closed_progress():
-    with pytest.raises(ValueError):
-        ready_tasks({TaskId(0, Phase.RECON, 0, 1)}, DIMS)
+    assert target not in _ready_tasks(without_gate, DIMS)
 
 
 def test_no_filter_task_ready_before_barrier():
@@ -149,13 +154,13 @@ def test_no_filter_task_ready_before_barrier():
     nearly_done = {
         TaskId(0, Phase.RECON, i, j) for i in range(2) for j in range(3)
     } - {TaskId(0, Phase.RECON, 1, 2)}
-    assert all(t.phase is Phase.RECON for t in ready_tasks(nearly_done, small))
+    assert all(t.phase is Phase.RECON for t in _ready_tasks(nearly_done, small))
 
 
 def test_first_filter_tasks_after_barrier():
     small = GridDims(2, 3)
     done = {TaskId(0, Phase.RECON, i, j) for i in range(2) for j in range(3)}
-    assert ready_tasks(done, small) == {
+    assert _ready_tasks(done, small) == {
         TaskId(0, Phase.HFILTER, 0, 0),
         TaskId(0, Phase.HFILTER, 1, 0),
     }
@@ -221,16 +226,15 @@ def test_dependency_graph_is_acyclic_up_to_32x32():
     for rows, cols in ((1, 1), (2, 3), (5, 4), (17, 30), (32, 32)):
         dims = GridDims(rows, cols)
         tasks = list(all_tasks(dims))
-        barrier = frame_barrier(dims)
-        indeg = {"barrier": len(barrier)}
+        indeg = {"barrier": dims.n_ctus}
         succs = {t: [] for t in tasks}
         succs["barrier"] = []
         for t in tasks:
             deps = task_deps(t, dims)
-            if t.phase.is_filter:
-                deps = deps + ["barrier"]
-            if t in barrier:
+            if t.phase is Phase.RECON:
                 succs[t].append("barrier")
+            else:
+                deps = deps + ["barrier"]
             indeg[t] = len(deps)
             for d in deps:
                 succs[d].append(t)
