@@ -18,7 +18,7 @@ decisions. A parked thread (out of rows) releases the core entirely.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from wavesched.platform import Platform
@@ -31,6 +31,7 @@ from wavesched.policies import (
     SchedState,
     TakeRow,
     make_policy,
+    schedule_of,
 )
 from wavesched.workload import CostModel, WorkloadSpec, effective_cost, generate
 from wavesched.wpp_graph import (
@@ -375,10 +376,26 @@ class _Sim:
             self._run_frame()
         return self.events
 
+    def _waits_for(self, tid: int, stalled: dict[int, int]) -> str:
+        """What a thread without a job waits for; `stalled` maps a thread to
+        the reconstruction task it waits to start."""
+        if tid in self.state.parked:
+            return "parked"
+        if tid in self.state.waiting_little:
+            return "slow-core queue"
+        if self.stage == "filter":
+            return "filter"
+        if tid in stalled:
+            row, col = divmod(stalled[tid], self.dims.cols)
+            return f"recon({row},{col})"
+        return "no row"
+
     def _blocked_report(self) -> list[str]:
+        stalled = {tid: k for k, tid in self.stalled_on.items()}
         out = [
             f"thread {th.id}: core={self.state.bindings[th.id]} "
-            f"row={self.state.rows[th.id]} col={th.col} job={th.job_task}"
+            f"row={self.state.rows[th.id]} col={th.col} "
+            f"waits={self._waits_for(th.id, stalled)}"
             for th in self.threads
         ]
         n = self.n_ctus
@@ -455,6 +472,33 @@ def simulate(config: SimConfig):
     return trace, report
 
 
+def simulate_cells(base: SimConfig, cells):
+    """Simulate each (policy, threads, simd) cell on `base`'s grid, frames,
+    workload, platform and migration overhead; returns {cell: report}, with
+    the policy kind canonical. A failing cell maps to its exception.
+
+    Cells whose policies give the same schedule (`policies.schedule_of`) at
+    the same thread count and SIMD flag are simulated once and share one
+    report, or one exception.
+    """
+    results = {}
+    by_schedule = {}
+    for kind, threads, simd in cells:
+        spec = PolicySpec(
+            kind=kind, threads=threads, migration_overhead_s=base.policy.migration_overhead_s
+        )
+        schedule = schedule_of(spec, base.platform)
+        key = (schedule, threads, simd)
+        if key not in by_schedule:
+            cfg = replace(base, policy=replace(spec, kind=schedule), simd=simd)
+            try:
+                by_schedule[key] = simulate(cfg)[1]
+            except Exception as exc:  # noqa: BLE001 - cell isolation
+                by_schedule[key] = exc
+        results[(spec.kind, threads, simd)] = by_schedule[key]
+    return results
+
+
 def run_sweep(base: SimConfig, thread_counts, policy_kinds, simd_flags=(False,)):
     """Simulate the Cartesian product; failures are captured per cell."""
     thread_counts = list(thread_counts)
@@ -462,27 +506,6 @@ def run_sweep(base: SimConfig, thread_counts, policy_kinds, simd_flags=(False,))
     simd_flags = list(simd_flags)
     if not thread_counts or not policy_kinds or not simd_flags:
         raise ValueError("run_sweep needs non-empty thread, policy, and simd lists")
-    results = {}
-    for kind in policy_kinds:
-        for n in thread_counts:
-            for simd in simd_flags:
-                spec = PolicySpec(
-                    kind=kind,
-                    threads=n,
-                    migration_overhead_s=base.policy.migration_overhead_s,
-                )
-                cfg = SimConfig(
-                    dims=base.dims,
-                    frames=base.frames,
-                    workload=base.workload,
-                    platform=base.platform,
-                    policy=spec,
-                    simd=simd,
-                )
-                key = (spec.kind, n, simd)
-                try:
-                    _, report = simulate(cfg)
-                    results[key] = report
-                except Exception as exc:  # noqa: BLE001 - cell isolation
-                    results[key] = exc
-    return results
+    return simulate_cells(base, [
+        (kind, n, simd) for kind in policy_kinds for n in thread_counts for simd in simd_flags
+    ])

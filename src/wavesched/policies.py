@@ -112,14 +112,13 @@ class SchedState:
     waiting_little: list[int] = field(default_factory=list)
 
     def residents(self, core: int) -> list[int]:
-        return [
-            t
-            for t in sorted(self.bindings)
-            if self.bindings[t] == core and t not in self.parked
-        ]
+        return sorted(
+            t for t, c in self.bindings.items() if c == core and t not in self.parked
+        )
 
     def idle_cores(self, core_ids) -> list[int]:
-        return [c for c in core_ids if not self.residents(c)]
+        occupied = {c for t, c in self.bindings.items() if t not in self.parked}
+        return [c for c in core_ids if c not in occupied]
 
     def idle_big_cores(self) -> list[int]:
         return self.idle_cores(self.platform.big_ids)
@@ -135,13 +134,12 @@ class SchedState:
 
     def little_resident_rows(self) -> list[int]:
         """Row indices currently owned by threads occupying slow cores."""
-        rows = []
-        for t in sorted(self.bindings):
-            if t in self.parked or self.rows.get(t) is None:
-                continue
-            if self.on_little(t):
-                rows.append(self.rows[t])
-        return sorted(rows)
+        little, rows, parked = self.platform.little_set, self.rows, self.parked
+        return sorted(
+            rows[t]
+            for t, c in self.bindings.items()
+            if c in little and t not in parked and rows.get(t) is not None
+        )
 
     def little_rank(self, thread: int) -> int:
         """1-based rank of the thread's row among slow-core in-flight rows."""
@@ -154,6 +152,13 @@ class SchedState:
 
 class Policy:
     kind: str = ""
+
+    @classmethod
+    def schedule(cls, threads: int, platform: Platform) -> str:
+        """The policy kind whose schedule (event trace) this policy produces
+        with `threads` threads on `platform`: its own, unless it provably
+        reduces to another's."""
+        return cls.kind
 
     def _initial_cores(self, n: int, platform: Platform) -> list[int]:
         raise NotImplementedError
@@ -213,25 +218,26 @@ class LittleOnly(Policy):
 class StaticPinned(Policy):
     kind = "static"
 
+    @classmethod
+    def schedule(cls, threads: int, platform: Platform) -> str:
+        # With no more threads than fast cores, the threads start on
+        # big_ids[:threads], as under big-os, and no callback ever acts:
+        # nothing sits on a slow core to promote or to hand a core to.
+        return BigOnlyOs.kind if threads <= len(platform.big_ids) else cls.kind
+
     def _initial_cores(self, n: int, platform: Platform) -> list[int]:
         slots = list(platform.big_ids) + list(platform.little_ids)
         if n > len(slots):
             raise ValueError(
-                f"static policy holds one thread per core: {n} threads > {len(slots)} cores"
+                f"{self.kind} policy holds one thread per core: {n} threads > {len(slots)} cores"
             )
         return slots[:n]
 
 
-class CriticalityAware(Policy):
+class CriticalityAware(StaticPinned):
+    """Pinned like `static` at the start, then migrates by criticality."""
+
     kind = "affinity"
-
-    def _initial_cores(self, n: int, platform: Platform) -> list[int]:
-        slots = list(platform.big_ids) + list(platform.little_ids)
-        if n > len(slots):
-            raise ValueError(
-                f"affinity policy holds one thread per core: {n} threads > {len(slots)} cores"
-            )
-        return slots[:n]
 
     def on_recon_ctu_complete(
         self, state: SchedState, thread: int, coord: CtuCoord
@@ -305,3 +311,8 @@ _POLICY_CLASSES = {
 
 def make_policy(kind: str) -> Policy:
     return _POLICY_CLASSES[canonical_kind(kind)]()
+
+
+def schedule_of(spec: PolicySpec, platform: Platform) -> str:
+    """The policy kind whose simulation gives `spec`'s schedule on `platform`."""
+    return _POLICY_CLASSES[spec.kind].schedule(spec.threads, platform)

@@ -4,9 +4,13 @@ The corridor protocol used by the acceptance tests is pinned here: the
 default 17x30 grid, lognormal costs at the default sigma with seed 7,
 four frames, calibrated workload scale and platform, default migration
 overhead. Several suites read from the same panel, so it is built once.
+
+Property tests run under one fixed-seed `hypothesis` profile, so every run
+draws the same examples and writes no example database.
 """
 
 import pytest
+from hypothesis import settings
 
 from wavesched import engine, policies
 from wavesched import platform as platform_mod
@@ -18,6 +22,9 @@ ACCEPT_FILTER_FRACTION = 0.15
 ACCEPT_SIGMA = 0.4
 ACCEPT_SEED = 7
 ACCEPT_FRAMES = 4
+
+settings.register_profile("wavesched", derandomize=True, database=None, deadline=None)
+settings.load_profile("wavesched")
 
 PANEL_CELLS = tuple(
     [("big-os", n, False) for n in range(1, 9)]

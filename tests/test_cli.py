@@ -87,7 +87,7 @@ def test_deadlock_exits_with_code_two(capsys, monkeypatch):
     code, out, err = _run_cli(["run", "--grid", "2x3", "--frames", "1"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("simulation error: no runnable thread at t=")
-    assert err.endswith(": thread 0: core=0 row=None col=2 job=None; recon done 3/6\n")
+    assert err.endswith(": thread 0: core=0 row=None col=2 waits=no row; recon done 3/6\n")
 
 
 @pytest.mark.parametrize("mean_wu", ["inf", "1e300"])
@@ -112,6 +112,55 @@ def test_run_rejects_unbounded_simulated_time(mean_wu):
     else:
         assert proc.stderr.startswith("error: ")
         assert "needs more than 1000000 power samples" in proc.stderr
+
+
+_AT_LIMIT = [
+    ["run", "--grid", "1000x100", "--frames", "1"],
+    ["run", "--threads", str(cli.MAX_THREADS)],
+    ["sweep", "--threads", f"1,{cli.MAX_THREADS}"],
+    ["paper-repro", "--frames", str(cli.MAX_CTU_FRAMES // cli.DEFAULT_GRID.n_ctus)],
+]
+_PAST_LIMIT = [
+    (["run", "--grid", "300x300"], "MAX_CTU_FRAMES"),
+    (["run", "--grid", "1000x100", "--frames", "2"], "MAX_CTU_FRAMES"),
+    (["run", "--grid", "1001x100", "--frames", "1"], "MAX_CTU_FRAMES"),
+    (["calibrate", "--grid", "1001x100"], "MAX_CTU_FRAMES"),
+    (["paper-repro", "--frames", str(cli.MAX_CTU_FRAMES // cli.DEFAULT_GRID.n_ctus + 1)],
+     "MAX_CTU_FRAMES"),
+    (["run", "--threads", str(cli.MAX_THREADS + 1)], "MAX_THREADS"),
+    (["sweep", "--threads", f"1..{cli.MAX_THREADS + 1}"], "MAX_THREADS"),
+    (["sweep", "--threads", "1..1000000000000"], "MAX_THREADS"),
+]
+
+
+def _stub_out_simulation(monkeypatch) -> list:
+    """Replace simulation and calibration by stubs that fail at once; returns
+    the list of calls they saw."""
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("stub")
+
+    monkeypatch.setattr(engine, "simulate", stub)
+    monkeypatch.setattr(platform_mod, "calibrate", stub)
+    return calls
+
+
+@pytest.mark.parametrize("argv", _AT_LIMIT, ids=" ".join)
+def test_inputs_at_the_size_limits_are_accepted(argv, capsys, monkeypatch):
+    calls = _stub_out_simulation(monkeypatch)
+    _run_cli(argv, capsys)
+    assert calls
+
+
+@pytest.mark.parametrize("argv, limit", _PAST_LIMIT,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_inputs_past_the_size_limits_fail_at_parse_time(argv, limit, capsys, monkeypatch):
+    calls = _stub_out_simulation(monkeypatch)
+    code, out, err = _run_cli(argv, capsys)
+    assert code == 1 and out == "" and not calls
+    assert f"{limit} = {getattr(cli, limit)}" in err
 
 
 # --- sweep -----------------------------------------------------------------------

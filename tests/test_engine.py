@@ -1,6 +1,8 @@
 """Event-driven simulator tests: makespans, wavefront timing, determinism."""
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from wavesched import engine, policies
 from wavesched.analysis import analytic_wavefront_makespan, reference_simulate
@@ -153,6 +155,66 @@ def test_static_four_matches_big_os_four():
     assert a.wall_time_s == b.wall_time_s
 
 
+# --- schedule identity ----------------------------------------------------------
+
+# Cluster speeds: drawn with repeats, so equal-speed fast clusters and slow
+# clusters listed first both occur.
+_SPEEDS = (1000.0, 700.0, 1000.0 / 2.24)
+_CLUSTERS = st.lists(st.tuples(st.sampled_from(_SPEEDS), st.integers(1, 3)),
+                     min_size=1, max_size=3)
+
+
+def _clustered(clusters, kappa):
+    return Platform(
+        clusters=tuple((CoreType(f"c{i}", 2.0, speed, 1.0, 0.1), n)
+                       for i, (speed, n) in enumerate(clusters)),
+        base_power_w=1.0, memory_contention=kappa,
+    )
+
+
+def _trace(kind, threads, plat, rows, cols, frames, overhead, sigma, simd):
+    cfg = _config(GridDims(rows, cols), kind, threads, phi=0.15, frames=frames,
+                  overhead=overhead, sigma=sigma, seed=5, simd=simd, platform=plat)
+    assert policies.schedule_of(cfg.policy, plat) == (
+        "big-os" if threads <= len(plat.big_ids) else kind)
+    return engine.simulate(cfg)[0]
+
+
+_IDENTITY_AXES = dict(
+    kappa=st.floats(0.0, 0.3), simd=st.booleans(), overhead=st.sampled_from([0.0, 100e-6]),
+    sigma=st.sampled_from([None, 0.6]), frames=st.integers(1, 2),
+    rows=st.integers(1, 6), cols=st.integers(1, 8),
+)
+
+
+@settings(max_examples=200)
+@given(clusters=_CLUSTERS, pick=st.integers(0, 8), **_IDENTITY_AXES)
+@example(clusters=[(700.0, 2), (1000.0, 2), (1000.0, 1)], pick=2, kappa=0.09, simd=True,
+         overhead=100e-6, sigma=0.6, frames=2, rows=6, cols=8)
+def test_pinned_policies_trace_big_os_up_to_the_fast_core_count(
+        clusters, pick, kappa, simd, overhead, sigma, frames, rows, cols):
+    """With threads <= fast cores, `static` and `affinity` produce big-os's
+    trace event for event: the identity `simulate_cells` shares results by."""
+    plat = _clustered(clusters, kappa)
+    threads = 1 + pick % len(plat.big_ids)
+    axes = (plat, rows, cols, frames, overhead, sigma, simd)
+    want = _trace("big-os", threads, *axes)
+    assert _trace("static", threads, *axes) == want
+    assert _trace("affinity", threads, *axes) == want
+
+
+@given(clusters=_CLUSTERS, **_IDENTITY_AXES)
+def test_affinity_leaves_big_os_one_thread_past_the_fast_cores(
+        clusters, kappa, simd, overhead, sigma, frames, rows, cols):
+    """Negative control: the extra thread starts on a slow core, not doubled
+    up on a fast one, so the traces differ."""
+    plat = _clustered(clusters, kappa)
+    assume(plat.little_ids)
+    threads = len(plat.big_ids) + 1
+    axes = (plat, max(rows, threads), cols, frames, overhead, sigma, simd)
+    assert _trace("affinity", threads, *axes) != _trace("big-os", threads, *axes)
+
+
 # --- trace structure ------------------------------------------------------------
 
 
@@ -204,18 +266,40 @@ class RowHoarder(policies.BigOnlyOs):
         return []
 
 
-def test_deadlock_error_shape(monkeypatch):
-    monkeypatch.setattr(engine, "make_policy", lambda kind: RowHoarder())
+class RowSkipper(policies.BigOnlyOs):
+    """Skips a row: whoever finishes first takes the row below the next one,
+    whose first CTU waits on the skipped row, which nobody takes; the other
+    thread parks."""
+
+    def on_row_complete(self, state, thread):
+        row = state.next_row + 1
+        return [policies.TakeRow(row)] if row < state.dims.rows else [policies.Idle()]
+
+
+def _blocked(monkeypatch, policy, dims):
+    monkeypatch.setattr(engine, "make_policy", lambda kind: policy())
     with pytest.raises(engine.DeadlockError) as info:
-        engine.simulate(_config(GridDims(3, 4), threads=2))
+        engine.simulate(_config(dims, threads=2))
     err = info.value
     assert isinstance(err, RuntimeError)
-    assert err.blocked == [
-        "thread 0: core=0 row=None col=3 job=None",
-        "thread 1: core=1 row=None col=3 job=None",
+    assert str(err).startswith("no runnable thread at t=0.")
+    return err.blocked
+
+
+def test_deadlock_error_shape(monkeypatch):
+    assert _blocked(monkeypatch, RowHoarder, GridDims(3, 4)) == [
+        "thread 0: core=0 row=None col=3 waits=no row",
+        "thread 1: core=1 row=None col=3 waits=no row",
         "recon done 8/12",
     ]
-    assert str(err).startswith("no runnable thread at t=0.")
+
+
+def test_deadlock_report_names_the_stalled_task_and_parking(monkeypatch):
+    assert _blocked(monkeypatch, RowSkipper, GridDims(4, 3)) == [
+        "thread 0: core=0 row=3 col=0 waits=recon(3,0)",
+        "thread 1: core=1 row=None col=2 waits=parked",
+        "recon done 6/12",
+    ]
 
 
 def test_run_sweep_isolates_failing_cells():
@@ -228,6 +312,24 @@ def test_run_sweep_isolates_failing_cells():
         ("big-os", 1, False), ("big-os", 9, False),
         ("static", 1, False), ("static", 9, False),
     }
+
+
+def test_cells_with_one_schedule_are_simulated_once(monkeypatch):
+    simulated = []
+    simulate = engine.simulate
+
+    def counted(cfg):
+        simulated.append((cfg.policy.kind, cfg.policy.threads))
+        return simulate(cfg)
+
+    monkeypatch.setattr(engine, "simulate", counted)
+    results = engine.run_sweep(_config(GridDims(3, 4), phi=0.15), [4, 5],
+                               ["affinity", "static", "big-os"])
+    assert simulated == [("big-os", 4), ("affinity", 5), ("static", 5), ("big-os", 5)]
+    shared = results[("big-os", 4, False)]
+    assert results[("affinity", 4, False)] is shared
+    assert results[("static", 4, False)] is shared
+    assert len({id(r) for r in results.values()}) == 4
 
 
 def test_run_sweep_rejects_empty_axes():

@@ -1,6 +1,8 @@
 """Policy decision-procedure tests: bindings, the rank guard, and rebinds."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wavesched.platform import default_platform
 from wavesched.policies import (
@@ -14,6 +16,7 @@ from wavesched.policies import (
     TakeRow,
     canonical_kind,
     make_policy,
+    schedule_of,
 )
 from wavesched.wpp_graph import CtuCoord, GridDims
 
@@ -95,6 +98,14 @@ def test_static_matches_big_os_at_four_threads():
     assert static.bindings == bigos.bindings
 
 
+def test_pinned_policies_schedule_as_big_os_up_to_the_fast_core_count():
+    for threads in range(1, 9):
+        for kind in POLICY_KINDS:
+            reduces = kind in ("static", "affinity") and threads <= len(PLAT.big_ids)
+            expected = "big-os" if reduces else kind
+            assert schedule_of(PolicySpec(kind=kind, threads=threads), PLAT) == expected
+
+
 def test_little_only_binds_slow_cores():
     spec = PolicySpec(kind="little", threads=2)
     state = make_policy("little").initial_assignment(spec, PLAT, DIMS)
@@ -123,6 +134,36 @@ def test_residents_exclude_parked():
     state = _state({0: 0, 1: 0}, {0: 3, 1: None}, 4, parked=[1])
     assert state.residents(0) == [0]
     assert state.idle_big_cores() == [1, 2, 3]
+
+
+@given(
+    order=st.permutations(range(10)),
+    cores=st.lists(st.one_of(st.none(), st.integers(0, 7)), min_size=10, max_size=10),
+    rows=st.lists(st.one_of(st.none(), st.integers(0, 16), st.just("absent")),
+                  min_size=10, max_size=10),
+    parked=st.sets(st.integers(0, 11)),
+    n=st.integers(0, 10),
+)
+def test_one_pass_queries_match_their_definitions(order, cores, rows, parked, n):
+    """Threads in any insertion order, unbound (None) or parked, with rows
+    that are None or missing: each query equals its per-core definition."""
+    threads = [t for t in order if t < n]
+    state = _state({t: cores[t] for t in threads},
+                   {t: rows[t] for t in threads if rows[t] != "absent"}, 0, parked=parked)
+
+    def residents(core):
+        return [t for t in sorted(state.bindings)
+                if state.bindings[t] == core and t not in state.parked]
+
+    for core in range(PLAT.n_cores):
+        assert state.residents(core) == residents(core)
+    for ids in (PLAT.big_ids, PLAT.little_ids, (6, 1, 4)):
+        assert state.idle_cores(ids) == [c for c in ids if not residents(c)]
+    assert state.little_resident_rows() == sorted(
+        state.rows[t] for t in sorted(state.bindings)
+        if t not in state.parked and state.rows.get(t) is not None
+        and state.bindings[t] in PLAT.little_set
+    )
 
 
 def test_little_rank_orders_by_row_index():
