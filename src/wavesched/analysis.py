@@ -8,7 +8,6 @@ also emitted to mirror how the reference measurements were taken.
 from __future__ import annotations
 
 import csv
-import importlib.resources
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -505,6 +504,8 @@ def reference_simulate(config):
 
 def load_reference_targets() -> dict[tuple[str, int, bool, str], float]:
     """Parse data/reference_targets.csv into {(policy, threads, simd, metric): value}."""
+    import importlib.resources
+
     path = importlib.resources.files("wavesched").joinpath("data/reference_targets.csv")
     targets: dict[tuple[str, int, bool, str], float] = {}
     with path.open("r", encoding="utf-8") as f:

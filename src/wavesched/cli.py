@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 
 from wavesched import analysis, engine, platform as platform_mod, policies, workload
 from wavesched.wpp_graph import GridDims
@@ -134,6 +133,8 @@ def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wavesched-", suffix=".tmp")
     try:

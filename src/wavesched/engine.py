@@ -213,6 +213,9 @@ class _Sim:
             self._continue_after_move(tid)
 
     def _continue_after_move(self, tid: int):
+        # The Migration event counts the thread active on its new core, so a
+        # stall right after a move without overhead must log ThreadIdle again.
+        self.threads[tid].idle_logged = False
         if self.stage == "recon":
             self._try_start_recon(tid)
         else:

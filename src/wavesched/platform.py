@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from wavesched.wpp_graph import GridDims
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Cluster speed ratio without memory contention: the four-thread FPS quote on
 # the fast cluster over the same quote on the slow cluster (see
@@ -330,6 +331,8 @@ def _null_space_rows(a: np.ndarray) -> np.ndarray:
     Singular values up to max(shape) * eps * the largest one count as zero,
     the cut numpy.linalg.matrix_rank uses.
     """
+    import numpy as np
+
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     tol = max(a.shape) * np.finfo(s.dtype).eps * np.amax(s, initial=0.0)
     return vh[int(np.sum(s > tol)):]
@@ -345,6 +348,8 @@ def _nonnegative_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the empty one being x = 0: the feasible candidate with the least
     residual wins.
     """
+    import numpy as np
+
     x = np.linalg.lstsq(a, b, rcond=-1)[0]
     if np.all(x >= 0.0):
         return x
@@ -396,6 +401,8 @@ def calibrate(
 
     The incoming platform's memory_contention is not used: kappa is refitted.
     """
+    import numpy as np
+
     from wavesched import engine, policies
     from wavesched.workload import WorkloadSpec
 

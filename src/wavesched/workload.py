@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from wavesched.wpp_graph import GridDims, Phase
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_FILTER_FRACTION = 0.15
 DEFAULT_FILTER_SPLIT = (0.3, 0.3, 0.4)
@@ -42,6 +43,8 @@ class CostModel:
     vector_speedup: float = DEFAULT_VECTOR_SPEEDUP
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         recon = np.asarray(self.recon, dtype=float)
         recon.setflags(write=False)
         object.__setattr__(self, "recon", recon)
@@ -100,6 +103,8 @@ class WorkloadSpec:
             raise ValueError(f"mean_wu must be finite, got {self.mean_wu}")
         if self.kind != "trace" and self.mean_wu <= 0:
             raise ValueError(f"mean_wu must be positive, got {self.mean_wu}")
+        if not math.isfinite(self.sigma * self.sigma):
+            raise ValueError(f"sigma must be finite with a finite square, got {self.sigma}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.kind == "trace" and not self.path:
@@ -121,6 +126,8 @@ class WorkloadSpec:
 
 def generate(spec: WorkloadSpec, dims: GridDims, frames: int) -> list[CostModel]:
     """One CostModel per frame, deterministic in the seed."""
+    import numpy as np
+
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
     if spec.kind == "trace":
@@ -190,6 +197,8 @@ def load_trace(path: str | os.PathLike) -> list[CostModel]:
     Every frame must cover the full grid exactly once; errors carry the
     offending line number or cell.
     """
+    import numpy as np
+
     cells: dict[tuple[int, int, int], float] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):

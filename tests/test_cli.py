@@ -90,11 +90,25 @@ def test_deadlock_exits_with_code_two(capsys, monkeypatch):
     assert err.endswith(": thread 0: core=0 row=None col=2 waits=no row; recon done 3/6\n")
 
 
-@pytest.mark.parametrize("mean_wu", ["inf", "1e300"])
-def test_run_rejects_unbounded_simulated_time(mean_wu):
-    """Both once hung in the power-sample loop while memory grew by about
-    250 MiB/s. A fresh interpreter under a 1 GiB address-space cap and a
-    timeout, so a regression fails instead of exhausting the host."""
+@pytest.mark.parametrize("flag,value,stderr", [
+    pytest.param("--mean-wu", "inf", r"error: mean_wu must be finite, got inf\n", id="inf"),
+    pytest.param("--mean-wu", "1e300",
+                 r"error: \S+ s of simulated time needs more than 1000000 power samples"
+                 r" at \S+ s\n", id="1e300"),
+    pytest.param("--sigma", "nan",
+                 r"error: sigma must be finite with a finite square, got nan\n", id="sigma-nan"),
+    pytest.param("--sigma", "inf",
+                 r"error: sigma must be finite with a finite square, got inf\n", id="sigma-inf"),
+    pytest.param("--sigma", "1e308",
+                 r"error: sigma must be finite with a finite square, got 1e\+308\n",
+                 id="sigma-1e308"),
+])
+def test_run_rejects_unbounded_simulated_time(flag, value, stderr):
+    """The mean_wu cases once hung in the power-sample loop while memory grew
+    by about 250 MiB/s; the sigma cases once ended in an OverflowError
+    traceback, or in a numpy RuntimeWarning and an error that named no cause.
+    A fresh interpreter under a 1 GiB address-space cap and a timeout, so a
+    regression fails instead of exhausting the host."""
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -103,15 +117,11 @@ def test_run_rejects_unbounded_simulated_time(mean_wu):
     env.pop(cli.CONFIG_ENV_VAR, None)
     proc = subprocess.run(
         [sys.executable, "-m", "wavesched.cli", "run", "--grid", "2x2", "--frames", "1",
-         "--mean-wu", mean_wu],
+         flag, value],
         capture_output=True, text=True, env=env, timeout=10, preexec_fn=cap_memory,
     )
     assert proc.returncode == 1 and proc.stdout == ""
-    if mean_wu == "inf":
-        assert proc.stderr == "error: mean_wu must be finite, got inf\n"
-    else:
-        assert proc.stderr.startswith("error: ")
-        assert "needs more than 1000000 power samples" in proc.stderr
+    assert re.fullmatch(stderr, proc.stderr), proc.stderr
 
 
 _AT_LIMIT = [
@@ -312,6 +322,34 @@ def test_calibrate_and_repro_do_not_import_scipy(tmp_path):
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_help_and_rejected_input_do_not_import_numpy(tmp_path):
+    """numpy is imported by the first workload generation or calibration:
+    in a fresh interpreter, importing the CLI, `--help` and inputs rejected
+    at parse or config time leave it unloaded; a small run loads it."""
+    path = tmp_path / "board.conf"
+    text = platform_mod.config_to_text(default_platform())
+    path.write_text(re.sub(r"^base_power_w = .*$", "base_power_w = nan", text, flags=re.M))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(cli.CONFIG_ENV_VAR, None)
+    script = (
+        "import contextlib, io, sys\n"
+        "from wavesched import cli\n"
+        "seen = ['numpy' in sys.modules]\n"
+        "for argv in (['--help'], ['run', '--grid', '0x0'], ['run', '--threads', '999'],\n"
+        f"             ['run', '--platform', {str(path)!r}],\n"
+        "             ['run', '--grid', '2x2', '--frames', '1']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        seen.append((cli.main(argv), 'numpy' in sys.modules))\n"
+        "print(seen)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, (0, False), (1, False), (1, False), (1, False), (0, True)]\n"
 
 
 # --- paper-repro --------------------------------------------------------------------

@@ -255,6 +255,23 @@ def test_migrations_counted_for_affinity():
         assert rep.migrations == 0
 
 
+@pytest.mark.parametrize("threads", [6, 7, 8])
+@pytest.mark.parametrize("dims", [GridDims(9, 5), GridDims(17, 30)], ids=["9x5", "17x30"])
+def test_zero_overhead_move_matches_a_vanishing_overhead(dims, threads):
+    """A thread moved without overhead that then stalls logs ThreadIdle, so
+    its new core is not counted active while it waits: overhead 0 reads as
+    the limit of a tiny overhead. Once it read up to 34% of wall more active
+    time on one core, and 2.3% more energy per frame."""
+    def run(overhead):
+        return engine.simulate(_config(dims, kind="affinity", threads=threads, phi=0.15,
+                                       frames=2, overhead=overhead, sigma=0.4, seed=7))[1]
+
+    zero, tiny = run(0.0), run(1e-9)
+    assert zero.epf_j == pytest.approx(tiny.epf_j, rel=1e-5)
+    for core, active_s in tiny.core_active_s.items():
+        assert abs(zero.core_active_s[core] - active_s) <= 0.01 * tiny.wall_time_s
+
+
 # --- errors and sweep harness -----------------------------------------------------
 
 

@@ -127,6 +127,9 @@ def test_workload_spec_validation():
         WorkloadSpec(kind="uniform", mean_wu=0.0)
     with pytest.raises(ValueError):
         WorkloadSpec(kind="trace")
+    for sigma in (float("nan"), float("inf"), 1e308):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            WorkloadSpec(kind="lognormal", sigma=sigma)
     spec = WorkloadSpec(kind="lognormal", mean_wu=10.0, sigma=0.3, seed=5)
     rescaled = spec.with_mean(20.0)
     assert rescaled.mean_wu == 20.0
