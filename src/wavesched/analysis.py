@@ -8,7 +8,6 @@ also emitted to mirror how the reference measurements were taken.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from wavesched.platform import (
@@ -69,7 +68,20 @@ class SimReport:
 
 
 def compute_metrics(trace, platform: Platform, simd: bool) -> SimReport:
-    """Exact piecewise-constant energy integration over a finished trace."""
+    """Exact piecewise-constant energy integration, in one pass over a
+    finished trace in time order.
+
+    CtuStart and Migration open a running segment of their thread on their
+    core (migration overhead runs no SIMD code); CtuComplete and ThreadIdle
+    close it, and FrameComplete closes every open segment (an in-flight
+    migration overhead is abandoned when the frame ends). The events at one
+    time form a step. A step at which a segment of positive length starts or
+    ends is a boundary: energy and active time are added at the state before
+    it, the step's net change of per-core running and SIMD counts is applied,
+    and power is evaluated once. A segment that opens and closes within one
+    step has zero length and makes no boundary, so it changes neither the
+    energy sum nor the power samples.
+    """
     if not trace or trace[-1].kind != "FrameComplete":
         raise ValueError("truncated trace: missing final FrameComplete")
 
@@ -78,98 +90,101 @@ def compute_metrics(trace, platform: Platform, simd: bool) -> SimReport:
     if wall / interval > MAX_POWER_SAMPLES:
         raise ValueError(f"{wall:.6g} s of simulated time needs more than "
                          f"{MAX_POWER_SAMPLES} power samples at {interval:g} s")
-    frames = sum(1 for ev in trace if ev.kind == "FrameComplete")
-    migrations = sum(1 for ev in trace if ev.kind == "Migration")
-
-    # Per-thread running intervals (start, end, core, simd_work). CtuStart and
-    # Migration open a segment; CtuComplete and ThreadIdle close it; frame
-    # boundaries close whatever is still open (an in-flight migration overhead
-    # is abandoned when the frame ends).
-    intervals: list[tuple[float, float, int, bool]] = []
-    open_seg: dict[int, tuple[float, int, bool]] = {}
-
-    def close(thread: int, end: float) -> None:
-        seg = open_seg.pop(thread, None)
-        if seg is not None and end > seg[0]:
-            intervals.append((seg[0], end, seg[1], seg[2]))
-
-    for ev in trace:
-        if ev.kind == "CtuStart":
-            close(ev.thread, ev.time_s)
-            open_seg[ev.thread] = (ev.time_s, ev.core, simd)
-        elif ev.kind == "Migration":
-            close(ev.thread, ev.time_s)
-            open_seg[ev.thread] = (ev.time_s, ev.core, False)
-        elif ev.kind in ("CtuComplete", "ThreadIdle"):
-            close(ev.thread, ev.time_s)
-        elif ev.kind == "FrameComplete":
-            for t in list(open_seg):
-                close(t, ev.time_s)
-    for t in list(open_seg):
-        close(t, wall)
 
     n_cores = platform.n_cores
-    # Sweep the union of interval boundaries, holding per-core counts of
-    # running jobs and of SIMD-marked jobs.
-    deltas: list[tuple[float, int, int, int]] = []
-    for start, end, core, is_simd in intervals:
-        deltas.append((start, core, 1, 1 if is_simd else 0))
-        deltas.append((end, core, -1, -1 if is_simd else 0))
-    deltas.sort(key=lambda d: d[0])
-
     running = [0] * n_cores
     simd_running = [0] * n_cores
-    energy = 0.0
-    active_s = {c: 0.0 for c in range(n_cores)}
-    seg_starts: list[float] = []
-    seg_powers: list[float] = []
+    open_seg: dict[int, tuple[float, int, bool]] = {}  # thread -> (start, core, simd)
 
-    def state_vector() -> list[str]:
+    def evaluate() -> tuple[float, list[int]]:
+        """Power, and the cores running a job, at the current counts."""
         states = []
+        active = []
         for c in range(n_cores):
             if running[c] == 0:
                 states.append(CORE_IDLE)
-            elif simd_running[c] > 0:
-                states.append(CORE_ACTIVE_SIMD)
             else:
-                states.append(CORE_ACTIVE)
-        return states
+                active.append(c)
+                states.append(CORE_ACTIVE_SIMD if simd_running[c] else CORE_ACTIVE)
+        return instantaneous_power(platform, states), active
 
+    frames = 0
+    migrations = 0
+    energy = 0.0
+    active_s = [0.0] * n_cores
+    # Power at the midpoints of the sampling intervals: each sample takes the
+    # power of the last boundary at or before it.
+    samples: list[tuple[float, float]] = []
+    k = 0
     cursor = 0.0
-    power_now = instantaneous_power(platform, state_vector())
-    seg_starts.append(0.0)
-    seg_powers.append(power_now)
+    power_now, active = evaluate()
+
+    n = len(trace)
     i = 0
-    while i < len(deltas):
-        t = deltas[i][0]
+    prev = trace[0].time_s
+    while i < n:
+        t = trace[i].time_s
+        if t < prev:
+            raise ValueError(f"trace out of time order: event {i} at {t} s "
+                             f"follows one at {prev} s")
+        prev = t
+        ends = False  # a segment opened before t ends at t
+        fresh = 0  # segments opened at t and still open
+        while True:
+            ev = trace[i]
+            kind = ev.kind
+            if kind in ("CtuStart", "Migration", "CtuComplete", "ThreadIdle"):
+                seg = open_seg.pop(ev.thread, None)
+                if seg is not None:
+                    running[seg[1]] -= 1
+                    if seg[2]:
+                        simd_running[seg[1]] -= 1
+                    if seg[0] < t:
+                        ends = True
+                    else:
+                        fresh -= 1
+                if kind in ("CtuStart", "Migration"):
+                    seg_simd = simd and kind == "CtuStart"
+                    open_seg[ev.thread] = (t, ev.core, seg_simd)
+                    running[ev.core] += 1
+                    if seg_simd:
+                        simd_running[ev.core] += 1
+                    fresh += 1
+                    if kind == "Migration":
+                        migrations += 1
+            elif kind == "FrameComplete":
+                frames += 1
+                for seg in open_seg.values():
+                    running[seg[1]] -= 1
+                    if seg[2]:
+                        simd_running[seg[1]] -= 1
+                    if seg[0] < t:
+                        ends = True
+                    else:
+                        fresh -= 1
+                open_seg.clear()
+            i += 1
+            if i == n or trace[i].time_s != t:
+                break
+        if not (ends or fresh):
+            continue
         if t > cursor:
             dt = t - cursor
             energy += power_now * dt
-            for c in range(n_cores):
-                if running[c] > 0:
-                    active_s[c] += dt
+            for c in active:
+                active_s[c] += dt
             cursor = t
-        while i < len(deltas) and deltas[i][0] == t:
-            _, core, dr, ds = deltas[i]
-            running[core] += dr
-            simd_running[core] += ds
-            i += 1
-        power_now = instantaneous_power(platform, state_vector())
-        seg_starts.append(cursor)
-        seg_powers.append(power_now)
+        while (k + 0.5) * interval < cursor:
+            samples.append(((k + 0.5) * interval, power_now))
+            k += 1
+        power_now, active = evaluate()
     if wall > cursor:
         dt = wall - cursor
         energy += power_now * dt
-        for c in range(n_cores):
-            if running[c] > 0:
-                active_s[c] += dt
-
-    samples: list[tuple[float, float]] = []
-    k = 0
+        for c in active:
+            active_s[c] += dt
     while (k + 0.5) * interval < wall:
-        t = (k + 0.5) * interval
-        idx = bisect_right(seg_starts, t) - 1
-        samples.append((t, seg_powers[idx]))
+        samples.append(((k + 0.5) * interval, power_now))
         k += 1
     energy_sampled = (
         sum(p for _, p in samples) / len(samples) * wall if samples else energy
@@ -186,8 +201,8 @@ def compute_metrics(trace, platform: Platform, simd: bool) -> SimReport:
         avg_power_sampled_w=energy_sampled / wall,
         power_samples=tuple(samples),
         migrations=migrations,
-        core_active_s=active_s,
-        core_utilization={c: active_s[c] / wall for c in active_s},
+        core_active_s=dict(enumerate(active_s)),
+        core_utilization={c: a / wall for c, a in enumerate(active_s)},
     )
 
 

@@ -25,19 +25,27 @@ DEFAULT_SEED = 7
 
 # Size limits of one simulated cell, checked while the arguments are parsed.
 # The engine keeps the whole event trace, so time and memory grow with grid
-# CTUs x frames: at MAX_CTU_FRAMES, `run` takes 4.9-6.9 s for big-os and
-# affinity at 8 threads (17x30, 196 frames) and peaks at about 300 MiB.
+# CTUs x frames: at MAX_CTU_FRAMES, `run` takes 5.0-6.3 s for big-os and
+# affinity at 8 threads (17x30, 196 frames) and peaks at about 170 MiB.
 # At MAX_THREADS, big-os on a 1000x100 grid (one frame, at MAX_CTU_FRAMES)
-# takes 9.2 s. Measured on a 2-vCPU Xeon with Python 3.11.
+# takes 8.5 s and peaks at about 233 MiB. Measured on a 2-vCPU Xeon with
+# Python 3.11.
 MAX_CTU_FRAMES = 100_000
 MAX_THREADS = 256
+
+
+# The type parsers below raise argparse.ArgumentTypeError: argparse prints
+# its message, but replaces a ValueError's with "invalid <parser> value".
 
 
 def _parse_grid(text: str) -> GridDims:
     m = re.fullmatch(r"(\d+)\s*[xX]\s*(\d+)", text.strip())
     if not m:
-        raise ValueError(f"grid must look like ROWSxCOLS, got {text!r}")
-    dims = GridDims(int(m.group(1)), int(m.group(2)))
+        raise argparse.ArgumentTypeError(f"grid must look like ROWSxCOLS, got {text!r}")
+    try:
+        dims = GridDims(int(m.group(1)), int(m.group(2)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if dims.n_ctus > MAX_CTU_FRAMES:
         raise argparse.ArgumentTypeError(
             f"{text} has {dims.n_ctus} CTUs, above MAX_CTU_FRAMES = {MAX_CTU_FRAMES}")
@@ -51,7 +59,12 @@ def _check_threads(n: int) -> int:
 
 
 def _parse_threads(text: str) -> int:
-    return _check_threads(int(text))
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"thread count must be an integer, got {text!r}") from None
+    return _check_threads(n)
 
 
 def _parse_threads_list(text: str) -> list[int]:
@@ -65,14 +78,14 @@ def _parse_threads_list(text: str) -> list[int]:
         if m:
             lo, hi = int(m.group(1)), int(m.group(2))
             if hi < lo:
-                raise ValueError(f"bad thread range {part!r}")
+                raise argparse.ArgumentTypeError(f"thread range {part!r} ends below its start")
             out.extend(range(lo, _check_threads(hi) + 1))
         elif part.isdigit():
             out.append(_check_threads(int(part)))
         else:
-            raise ValueError(f"bad thread count {part!r}")
+            raise argparse.ArgumentTypeError(f"bad thread count {part!r}")
     if not out:
-        raise ValueError(f"no thread counts in {text!r}")
+        raise argparse.ArgumentTypeError(f"no thread counts in {text!r}")
     seen: set[int] = set()
     return [n for n in out if not (n in seen or seen.add(n))]
 
@@ -80,22 +93,25 @@ def _parse_threads_list(text: str) -> list[int]:
 def _parse_simd(text: str) -> bool:
     value = text.strip().lower()
     if value not in ("on", "off"):
-        raise ValueError(f"simd must be 'on' or 'off', got {text!r}")
+        raise argparse.ArgumentTypeError(f"simd must be 'on' or 'off', got {text!r}")
     return value == "on"
 
 
 def _parse_simd_list(text: str) -> list[bool]:
     flags = [_parse_simd(part) for part in text.split(",") if part.strip()]
     if not flags:
-        raise ValueError(f"no simd flags in {text!r}")
+        raise argparse.ArgumentTypeError(f"no simd flags in {text!r}")
     seen: set[bool] = set()
     return [f for f in flags if not (f in seen or seen.add(f))]
 
 
 def _parse_policies_list(text: str) -> list[str]:
-    kinds = [policies.canonical_kind(part) for part in text.split(",") if part.strip()]
+    try:
+        kinds = [policies.canonical_kind(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not kinds:
-        raise ValueError(f"no policies in {text!r}")
+        raise argparse.ArgumentTypeError(f"no policies in {text!r}")
     seen: set[str] = set()
     return [k for k in kinds if not (k in seen or seen.add(k))]
 

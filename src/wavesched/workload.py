@@ -161,6 +161,9 @@ def generate(spec: WorkloadSpec, dims: GridDims, frames: int) -> list[CostModel]
             # mean_wu, keeping calibration a linear one-step solve.
             z = rng.standard_normal((dims.rows, dims.cols))
             recon = spec.mean_wu * np.exp(spec.sigma * z - spec.sigma**2 / 2.0)
+            if not np.all(recon > 0):
+                raise ValueError(f"sigma {spec.sigma} underflows a lognormal cost to 0 "
+                                 f"(mean_wu {spec.mean_wu})")
         models.append(
             CostModel(
                 recon=recon,

@@ -64,7 +64,7 @@ class GridDims:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TaskId:
     frame: int
     phase: Phase

@@ -1,16 +1,21 @@
 """Metrics, the analytic makespan bound, the reference simulator, and report
 serialization."""
 
+import bisect
 import csv
+import gc
 import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavesched import analysis, engine, policies
 from wavesched.analysis import (
@@ -24,7 +29,15 @@ from wavesched.analysis import (
     SimReport,
 )
 from wavesched.engine import SimEvent
-from wavesched.platform import CoreType, Platform, default_platform
+from wavesched.platform import (
+    CORE_ACTIVE,
+    CORE_ACTIVE_SIMD,
+    CORE_IDLE,
+    CoreType,
+    Platform,
+    default_platform,
+    instantaneous_power,
+)
 from wavesched.policies import POLICY_KINDS
 from wavesched.workload import WorkloadSpec
 from wavesched.wpp_graph import GridDims
@@ -89,6 +102,16 @@ def test_truncated_trace_is_rejected():
         compute_metrics(trace, PLAT, False)
 
 
+def test_trace_out_of_time_order_is_rejected():
+    trace = [
+        SimEvent(1.0, "CtuStart", thread=0, core=0),
+        SimEvent(0.5, "CtuComplete", thread=0, core=0),
+        SimEvent(2.0, "FrameComplete", frame=0),
+    ]
+    with pytest.raises(ValueError, match="out of time order: event 1 at 0.5 s"):
+        compute_metrics(trace, PLAT, False)
+
+
 def test_sampled_energy_tracks_exact_integration():
     # A long, uneven run so the 250 ms sampler sees real power variation.
     cfg = _config(GridDims(3, 4), kind="big-os", threads=2, mean=2000.0,
@@ -139,6 +162,172 @@ def test_report_checks_hold_under_python_O():
         env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
     assert proc.returncode == 0 and proc.stdout.startswith("energy identity violated")
+
+
+def _sweep_metrics(trace, platform, simd):
+    """Oracle: the same integration in two passes. It lists every
+    positive-length running interval, sorts their start and end deltas, and
+    sweeps the distinct times, evaluating power after each."""
+    wall = trace[-1].time_s
+    intervals = []
+    open_seg = {}
+
+    def close(thread, end):
+        seg = open_seg.pop(thread, None)
+        if seg is not None and end > seg[0]:
+            intervals.append((seg[0], end, seg[1], seg[2]))
+
+    for ev in trace:
+        if ev.kind == "CtuStart":
+            close(ev.thread, ev.time_s)
+            open_seg[ev.thread] = (ev.time_s, ev.core, simd)
+        elif ev.kind == "Migration":
+            close(ev.thread, ev.time_s)
+            open_seg[ev.thread] = (ev.time_s, ev.core, False)
+        elif ev.kind in ("CtuComplete", "ThreadIdle"):
+            close(ev.thread, ev.time_s)
+        elif ev.kind == "FrameComplete":
+            for t in list(open_seg):
+                close(t, ev.time_s)
+
+    deltas = []
+    for start, end, core, is_simd in intervals:
+        deltas.append((start, core, 1, 1 if is_simd else 0))
+        deltas.append((end, core, -1, -1 if is_simd else 0))
+    deltas.sort(key=lambda d: d[0])
+
+    n_cores = platform.n_cores
+    running = [0] * n_cores
+    simd_running = [0] * n_cores
+    active_s = {c: 0.0 for c in range(n_cores)}
+
+    def power():
+        return instantaneous_power(platform, [
+            CORE_IDLE if running[c] == 0
+            else CORE_ACTIVE_SIMD if simd_running[c] else CORE_ACTIVE
+            for c in range(n_cores)])
+
+    energy = 0.0
+    cursor = 0.0
+    power_now = power()
+    seg_starts, seg_powers = [0.0], [power_now]
+    i = 0
+    while i < len(deltas):
+        t = deltas[i][0]
+        if t > cursor:
+            dt = t - cursor
+            energy += power_now * dt
+            for c in range(n_cores):
+                if running[c] > 0:
+                    active_s[c] += dt
+            cursor = t
+        while i < len(deltas) and deltas[i][0] == t:
+            _, core, dr, ds = deltas[i]
+            running[core] += dr
+            simd_running[core] += ds
+            i += 1
+        power_now = power()
+        seg_starts.append(cursor)
+        seg_powers.append(power_now)
+    if wall > cursor:
+        dt = wall - cursor
+        energy += power_now * dt
+        for c in range(n_cores):
+            if running[c] > 0:
+                active_s[c] += dt
+
+    interval = platform.sample_interval_s
+    samples = []
+    k = 0
+    while (k + 0.5) * interval < wall:
+        t = (k + 0.5) * interval
+        samples.append((t, seg_powers[bisect.bisect_right(seg_starts, t) - 1]))
+        k += 1
+    return {
+        "energy_j": energy,
+        "core_active_s": active_s,
+        "power_samples": tuple(samples),
+        "migrations": sum(1 for ev in trace if ev.kind == "Migration"),
+        "frames": sum(1 for ev in trace if ev.kind == "FrameComplete"),
+    }
+
+
+def _assert_matches_sweep(trace, platform, simd):
+    report = compute_metrics(trace, platform, simd)
+    got = {key: getattr(report, key) for key in
+           ("energy_j", "core_active_s", "power_samples", "migrations", "frames")}
+    assert got == _sweep_metrics(trace, platform, simd)
+
+
+# Steps of 0 make exact ties; 0.125 and 0.25 land events on the 250 ms
+# sampling midpoints and on each other.
+_STEPS = st.sampled_from([0.0, 0.0, 0.0, 0.125, 0.25, 0.1, 1.0 / 3.0, 0.7])
+_KINDS = st.sampled_from(["CtuStart", "CtuStart", "CtuComplete", "CtuComplete",
+                          "Migration", "ThreadIdle", "FrameComplete", "RowComplete"])
+
+
+@st.composite
+def _traces(draw):
+    """Time-ordered traces over up to 4 threads and the 8 default cores,
+    ending in a FrameComplete: runs of equal times, segments that open and
+    close at one time, a close and a reopen (or a zero-overhead Migration
+    and its CtuStart) at one time, overhead segments, several frames."""
+    events = []
+    now = 0.0
+    for step, kind, thread, core in draw(st.lists(
+            st.tuples(_STEPS, _KINDS, st.integers(0, 3), st.integers(0, 7)), max_size=40)):
+        now += step
+        if kind == "FrameComplete":
+            events.append(SimEvent(now, kind, frame=0))
+        else:
+            events.append(SimEvent(now, kind, thread=thread, core=core))
+    # A run takes positive time (fps divides by it).
+    events.append(SimEvent(now + draw(_STEPS) or 0.25, "FrameComplete", frame=0))
+    return events
+
+
+@settings(max_examples=300)
+@given(trace=_traces(), simd=st.booleans())
+def test_one_pass_matches_the_interval_sweep_on_drawn_traces(trace, simd):
+    _assert_matches_sweep(trace, PLAT, simd)
+
+
+@pytest.mark.parametrize("overhead", [0.0, 100e-6])
+@pytest.mark.parametrize("kind, threads, simd", [
+    ("affinity", 8, False), ("affinity", 6, True), ("big-os", 8, False),
+    ("static", 7, True), ("little", 4, False),
+])
+def test_one_pass_matches_the_interval_sweep_on_engine_traces(kind, threads, simd, overhead):
+    cfg = _config(GridDims(9, 12), kind, threads, phi=0.15, frames=3, overhead=overhead,
+                  sigma=0.4, seed=7, simd=simd)
+    trace, _ = engine.simulate(cfg)
+    _assert_matches_sweep(trace, PLAT, simd)
+
+
+def test_one_pass_holds_no_copy_of_the_trace():
+    """Integration keeps per-thread and per-core state only: its peak
+    allocation stays a small fraction of the trace it reads (a sweep over
+    listed intervals and sorted deltas, as in `_sweep_metrics`, peaks at
+    about three quarters of it)."""
+    cfg = engine.SimConfig(
+        dims=GridDims(17, 30), frames=4,
+        workload=WorkloadSpec(kind="lognormal", mean_wu=100.0, seed=7),
+        platform=PLAT, policy=policies.PolicySpec(kind="affinity", threads=8),
+    )
+    tracemalloc.start()
+    try:
+        trace, _ = engine.simulate(cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        compute_metrics(trace, cfg.platform, cfg.simd)
+        peak = tracemalloc.get_traced_memory()[1] - held
+        del trace
+        gc.collect()
+        trace_bytes = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.15 * trace_bytes, (peak, trace_bytes)
 
 
 # --- analytic makespan ------------------------------------------------------------

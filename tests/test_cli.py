@@ -65,9 +65,33 @@ def test_run_rejects_unknown_policy(capsys):
     assert "error:" in err and "roundrobin" in err
 
 
-def test_run_rejects_malformed_grid(capsys):
-    code, _, _ = _run_cli(["run", "--grid", "3x"], capsys)
-    assert code == 1
+_REJECTED_ARGUMENTS = [
+    (["run", "--grid", "3x"],
+     "wavesched run: error: argument --grid: grid must look like ROWSxCOLS, got '3x'"),
+    (["run", "--grid", "0x0"],
+     "wavesched run: error: argument --grid: grid must be at least 1x1, got 0x0"),
+    (["run", "--simd", "maybe"],
+     "wavesched run: error: argument --simd: simd must be 'on' or 'off', got 'maybe'"),
+    (["run", "--threads", "x"],
+     "wavesched run: error: argument --threads: thread count must be an integer, got 'x'"),
+    (["sweep", "--policies", "foo"],
+     "wavesched sweep: error: argument --policies: unknown policy kind 'foo'; "
+     "expected one of ('big-os', 'little', 'static', 'affinity')"),
+    (["sweep", "--threads", "4..2"],
+     "wavesched sweep: error: argument --threads: thread range '4..2' ends below its start"),
+    (["sweep", "--simd", "off,maybe"],
+     "wavesched sweep: error: argument --simd: simd must be 'on' or 'off', got 'maybe'"),
+]
+
+
+@pytest.mark.parametrize("argv, line", _REJECTED_ARGUMENTS,
+                         ids=[" ".join(argv) for argv, _ in _REJECTED_ARGUMENTS])
+def test_rejected_argument_names_its_cause(argv, line, capsys):
+    """argparse prints an ArgumentTypeError's message; a ValueError's it
+    replaces with "invalid _parse_grid value: '3x'"."""
+    code, out, err = _run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == line
 
 
 def test_run_rejects_pathless_trace_workload(capsys):
@@ -102,11 +126,18 @@ def test_deadlock_exits_with_code_two(capsys, monkeypatch):
     pytest.param("--sigma", "1e308",
                  r"error: sigma must be finite with a finite square, got 1e\+308\n",
                  id="sigma-1e308"),
+    pytest.param("--sigma", "40",
+                 r"error: sigma 40\.0 underflows a lognormal cost to 0 \(mean_wu 100\.0\)\n",
+                 id="sigma-40"),
+    pytest.param("--sigma", "1e150",
+                 r"error: sigma 1e\+150 underflows a lognormal cost to 0 \(mean_wu 100\.0\)\n",
+                 id="sigma-1e150"),
 ])
 def test_run_rejects_unbounded_simulated_time(flag, value, stderr):
     """The mean_wu cases once hung in the power-sample loop while memory grew
     by about 250 MiB/s; the sigma cases once ended in an OverflowError
-    traceback, or in a numpy RuntimeWarning and an error that named no cause.
+    traceback, or in a numpy RuntimeWarning or an underflow to 0, and an error
+    that named no cause.
     A fresh interpreter under a 1 GiB address-space cap and a timeout, so a
     regression fails instead of exhausting the host."""
     def cap_memory():
