@@ -8,6 +8,7 @@ also emitted to mirror how the reference measurements were taken.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
 
 from wavesched.platform import (
@@ -178,6 +179,11 @@ def compute_metrics(trace, platform: Platform, simd: bool) -> SimReport:
             samples.append(((k + 0.5) * interval, power_now))
             k += 1
         power_now, active = evaluate()
+    if not wall / frames >= sys.float_info.min:
+        # Shorter runs come from work units near the smallest float: fps
+        # overflows, and subnormal times lose the precision energy needs.
+        raise ValueError(f"{wall:.6g} s of simulated time for {frames} frames is below "
+                         f"{sys.float_info.min:.6g} s per frame, the smallest normal float")
     if wall > cursor:
         dt = wall - cursor
         energy += power_now * dt
@@ -250,11 +256,9 @@ def reference_simulate(config):
     demand = [s / max_speed for s in speeds]
     min_cost = None
     for m in models:
-        costs = [effective_cost(float(w), config.simd, m.vector_fraction, m.vector_speedup)
-                 for w in m.recon.flat]
+        costs = [effective_cost(float(w), config.simd) for w in m.recon.flat]
         for p in FILTER_PHASES:
-            costs.append(effective_cost(m.filter_cost_per_ctu(p), config.simd,
-                                        m.vector_fraction, m.vector_speedup))
+            costs.append(effective_cost(m.filter_cost_per_ctu(p), config.simd))
         positive = [c for c in costs if c > 0]
         if positive:
             m_min = min(positive)
@@ -295,10 +299,6 @@ def reference_simulate(config):
             for j in range(dims.cols)
         ]
 
-        def eff(wu: float) -> float:
-            return effective_cost(wu, config.simd, model.vector_fraction,
-                                  model.vector_speedup)
-
         def recon_ready(tid: int) -> bool:
             th = threads[tid]
             task = TaskId(frame, Phase.RECON, th.row, th.col)
@@ -319,7 +319,8 @@ def reference_simulate(config):
                     return
                 if recon_ready(tid):
                     task = TaskId(frame, Phase.RECON, th.row, th.col)
-                    start_job(tid, task, eff(float(model.recon[th.row, th.col])))
+                    start_job(tid, task, effective_cost(float(model.recon[th.row, th.col]),
+                                                         config.simd))
                 else:
                     th.status = "stalled"
             else:
@@ -337,7 +338,8 @@ def reference_simulate(config):
                     return
                 task = best[1]
                 claimed.add(task)
-                start_job(tid, task, eff(model.filter_cost_per_ctu(task.phase)))
+                start_job(tid, task, effective_cost(model.filter_cost_per_ctu(task.phase),
+                                                     config.simd))
 
         def dispatch_all() -> None:
             for tid in sorted(threads):

@@ -90,6 +90,12 @@ def _parse_threads_list(text: str) -> list[int]:
     return [n for n in out if not (n in seen or seen.add(n))]
 
 
+def _parse_seed(text: str) -> int:
+    if not re.fullmatch(r"\d+", text.strip()):
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_simd(text: str) -> bool:
     value = text.strip().lower()
     if value not in ("on", "off"):
@@ -205,7 +211,9 @@ def _cmd_sweep(args) -> int:
         platform=plat,
         policy=policies.PolicySpec(kind="big-os", threads=1),
     )
-    results = engine.run_sweep(base, args.threads, args.policies, args.simd)
+    results = engine.simulate_cells(base, [
+        (kind, n, simd) for kind in args.policies for n in args.threads for simd in args.simd
+    ])
     if args.format == "json":
         rows = [_cell_dict(key, results[key]) for key in sorted(results)]
         text = json.dumps(rows, indent=2) + "\n"
@@ -302,7 +310,7 @@ def _add_workload_flags(sub) -> None:
                      help="mean CTU cost in work units (default: config file, else 100)")
     sub.add_argument("--sigma", type=float, default=workload.DEFAULT_SIGMA,
                      help=f"lognormal shape parameter (default {workload.DEFAULT_SIGMA})")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    sub.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                      help=f"workload RNG seed (default {DEFAULT_SEED})")
 
 
@@ -359,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     repro.add_argument("--filter-fraction", type=float,
                        default=workload.DEFAULT_FILTER_FRACTION, dest="filter_fraction",
                        help="filter share of frame work")
-    repro.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    repro.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                        help=f"workload RNG seed (default {DEFAULT_SEED})")
     repro.set_defaults(func=_cmd_paper_repro)
 

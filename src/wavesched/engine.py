@@ -145,12 +145,11 @@ class _Sim:
         )
         self.threads = [_Thread(t) for t in range(self.spec.threads)]
         model = self.models[self.frame]
-        v, s = model.vector_fraction, model.vector_speedup
         self.recon_cost = [
-            effective_cost(wu, self.simd, v, s) for row in model.recon.tolist() for wu in row
+            effective_cost(wu, self.simd) for row in model.recon.tolist() for wu in row
         ]
         self.filter_cost = [
-            effective_cost(model.filter_cost_per_ctu(p), self.simd, v, s) for p in FILTER_PHASES
+            effective_cost(model.filter_cost_per_ctu(p), self.simd) for p in FILTER_PHASES
         ]
         self.pending = list(self.graph.indegree)  # unmet dependencies per task
         self.done = 0  # completed tasks of the frame
@@ -500,15 +499,3 @@ def simulate_cells(base: SimConfig, cells):
                 by_schedule[key] = exc
         results[(spec.kind, threads, simd)] = by_schedule[key]
     return results
-
-
-def run_sweep(base: SimConfig, thread_counts, policy_kinds, simd_flags=(False,)):
-    """Simulate the Cartesian product; failures are captured per cell."""
-    thread_counts = list(thread_counts)
-    policy_kinds = list(policy_kinds)
-    simd_flags = list(simd_flags)
-    if not thread_counts or not policy_kinds or not simd_flags:
-        raise ValueError("run_sweep needs non-empty thread, policy, and simd lists")
-    return simulate_cells(base, [
-        (kind, n, simd) for kind in policy_kinds for n in thread_counts for simd in simd_flags
-    ])

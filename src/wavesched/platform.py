@@ -47,15 +47,13 @@ def _check_finite(name: str, value: float) -> None:
 @dataclass(frozen=True)
 class CoreType:
     name: str
-    freq_ghz: float
     speed_wu_per_s: float
     active_power_w: float
     idle_power_w: float
     simd_power_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("freq_ghz", "speed_wu_per_s", "active_power_w", "idle_power_w",
-                     "simd_power_factor"):
+        for name in ("speed_wu_per_s", "active_power_w", "idle_power_w", "simd_power_factor"):
             _check_finite(f"{self.name}.{name}", getattr(self, name))
         if self.speed_wu_per_s <= 0:
             raise ValueError(f"core speed must be positive, got {self.speed_wu_per_s}")
@@ -135,7 +133,6 @@ def default_platform() -> Platform:
     """Four fast + four slow cores with fitted speed and power constants."""
     big = CoreType(
         name="big",
-        freq_ghz=2.0,
         speed_wu_per_s=1000.0,
         active_power_w=1.10,
         idle_power_w=0.10,
@@ -143,7 +140,6 @@ def default_platform() -> Platform:
     )
     little = CoreType(
         name="little",
-        freq_ghz=1.4,
         speed_wu_per_s=1000.0 / BIG_LITTLE_SPEED_RATIO,
         active_power_w=0.28,
         idle_power_w=0.05,
@@ -173,7 +169,6 @@ def instantaneous_power(platform: Platform, core_states: Sequence[str]) -> float
 # --- config file -------------------------------------------------------------
 
 _CLUSTER_KEYS = (
-    "freq_ghz",
     "count",
     "speed_wu_per_s",
     "active_power_w",
@@ -195,7 +190,6 @@ def config_to_text(platform: Platform, mean_wu: float | None = None) -> str:
     for ct, n in platform.clusters:
         lines.append("")
         lines.append(f"{ct.name}.count = {n}")
-        lines.append(f"{ct.name}.freq_ghz = {float(ct.freq_ghz)!r}")
         lines.append(f"{ct.name}.speed_wu_per_s = {float(ct.speed_wu_per_s)!r}")
         lines.append(f"{ct.name}.active_power_w = {float(ct.active_power_w)!r}")
         lines.append(f"{ct.name}.idle_power_w = {float(ct.idle_power_w)!r}")
@@ -249,7 +243,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> tuple[Platform, fl
                 raise ValueError(f"{cname}.count must be a finite whole number, got {count}")
             core = CoreType(
                 name=cname,
-                freq_ghz=fields["freq_ghz"],
                 speed_wu_per_s=fields["speed_wu_per_s"],
                 active_power_w=fields["active_power_w"],
                 idle_power_w=fields["idle_power_w"],
@@ -431,7 +424,7 @@ def calibrate(
         cfg = engine.SimConfig(
             dims=dims,
             frames=1,
-            workload=workload.with_mean(mean_wu),
+            workload=replace(workload, mean_wu=mean_wu),
             platform=plat,
             policy=policies.PolicySpec(kind=kind, threads=threads),
         )

@@ -20,16 +20,15 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_FILTER_FRACTION = 0.15
-DEFAULT_FILTER_SPLIT = (0.3, 0.3, 0.4)
 DEFAULT_SIGMA = 0.4
 
-# Vectorizable fraction and speedup of the SIMD kernels, fitted (and rounded)
-# so that the single-thread cost factor (1-v) + v/S matches the measured
-# serial plain-vs-vectorized FPS ratio in data/reference_targets.csv.
-DEFAULT_VECTOR_FRACTION = 0.58
-DEFAULT_VECTOR_SPEEDUP = 1.4913
+# Share of the filter work taken by each filter pass.
+FILTER_SPLIT = {Phase.HFILTER: 0.3, Phase.VFILTER: 0.3, Phase.SAO: 0.4}
 
-_SPLIT_INDEX = {Phase.HFILTER: 0, Phase.VFILTER: 1, Phase.SAO: 2}
+# Cost factor of the SIMD kernels, (1-v) + v/S with vectorizable fraction
+# v = 0.58 and speedup S = 1.4913, fitted (and rounded) so that it matches the
+# measured serial plain-vs-vectorized FPS ratio in data/reference_targets.csv.
+SIMD_COST_FACTOR = (1.0 - 0.58) + 0.58 / 1.4913
 
 
 @dataclass(frozen=True)
@@ -38,9 +37,6 @@ class CostModel:
 
     recon: np.ndarray
     filter_fraction: float = DEFAULT_FILTER_FRACTION
-    filter_split: tuple[float, float, float] = DEFAULT_FILTER_SPLIT
-    vector_fraction: float = DEFAULT_VECTOR_FRACTION
-    vector_speedup: float = DEFAULT_VECTOR_SPEEDUP
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -54,12 +50,6 @@ class CostModel:
             raise ValueError("recon costs must all be positive")
         if not 0.0 <= self.filter_fraction < 1.0:
             raise ValueError(f"filter_fraction must be in [0,1), got {self.filter_fraction}")
-        if abs(sum(self.filter_split) - 1.0) > 1e-12:
-            raise ValueError(f"filter_split must sum to 1, got {self.filter_split}")
-        if not 0.0 <= self.vector_fraction <= 1.0:
-            raise ValueError(f"vector_fraction must be in [0,1], got {self.vector_fraction}")
-        if self.vector_speedup < 1.0:
-            raise ValueError(f"vector_speedup must be >= 1, got {self.vector_speedup}")
 
     @property
     def dims(self) -> GridDims:
@@ -78,10 +68,9 @@ class CostModel:
         return self.recon_total() * phi / (1.0 - phi)
 
     def filter_cost_per_ctu(self, phase: Phase) -> float:
-        if phase not in _SPLIT_INDEX:
+        if phase not in FILTER_SPLIT:
             raise ValueError(f"{phase} is not a filter pass")
-        share = self.filter_split[_SPLIT_INDEX[phase]]
-        return self.filter_total() * share / self.recon.size
+        return self.filter_total() * FILTER_SPLIT[phase] / self.recon.size
 
 
 @dataclass(frozen=True)
@@ -92,9 +81,6 @@ class WorkloadSpec:
     seed: int = 0
     path: str | None = None
     filter_fraction: float = DEFAULT_FILTER_FRACTION
-    filter_split: tuple[float, float, float] = DEFAULT_FILTER_SPLIT
-    vector_fraction: float = DEFAULT_VECTOR_FRACTION
-    vector_speedup: float = DEFAULT_VECTOR_SPEEDUP
 
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "lognormal", "trace"):
@@ -109,19 +95,6 @@ class WorkloadSpec:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.kind == "trace" and not self.path:
             raise ValueError("trace workload needs a path")
-
-    def with_mean(self, mean_wu: float) -> "WorkloadSpec":
-        return WorkloadSpec(
-            kind=self.kind,
-            mean_wu=mean_wu,
-            sigma=self.sigma,
-            seed=self.seed,
-            path=self.path,
-            filter_fraction=self.filter_fraction,
-            filter_split=self.filter_split,
-            vector_fraction=self.vector_fraction,
-            vector_speedup=self.vector_speedup,
-        )
 
 
 def generate(spec: WorkloadSpec, dims: GridDims, frames: int) -> list[CostModel]:
@@ -139,17 +112,8 @@ def generate(spec: WorkloadSpec, dims: GridDims, frames: int) -> list[CostModel]
             )
         if len(models) < frames:
             raise ValueError(f"trace has {len(models)} frames, {frames} requested")
-        # A trace carries reconstruction costs only; the rest is the spec's.
-        return [
-            replace(
-                m,
-                filter_fraction=spec.filter_fraction,
-                filter_split=spec.filter_split,
-                vector_fraction=spec.vector_fraction,
-                vector_speedup=spec.vector_speedup,
-            )
-            for m in models[:frames]
-        ]
+        # A trace carries reconstruction costs only; the filter share is the spec's.
+        return [replace(m, filter_fraction=spec.filter_fraction) for m in models[:frames]]
 
     rng = np.random.default_rng(spec.seed)
     models = []
@@ -164,23 +128,15 @@ def generate(spec: WorkloadSpec, dims: GridDims, frames: int) -> list[CostModel]
             if not np.all(recon > 0):
                 raise ValueError(f"sigma {spec.sigma} underflows a lognormal cost to 0 "
                                  f"(mean_wu {spec.mean_wu})")
-        models.append(
-            CostModel(
-                recon=recon,
-                filter_fraction=spec.filter_fraction,
-                filter_split=spec.filter_split,
-                vector_fraction=spec.vector_fraction,
-                vector_speedup=spec.vector_speedup,
-            )
-        )
+        models.append(CostModel(recon=recon, filter_fraction=spec.filter_fraction))
     return models
 
 
-def effective_cost(cost: float, simd_on: bool, v: float, s: float) -> float:
-    """Cost after applying the SIMD factor (1-v) + v/S to the vectorizable part."""
+def effective_cost(cost: float, simd_on: bool) -> float:
+    """Cost after applying SIMD_COST_FACTOR when the SIMD kernels are on."""
     if not simd_on:
         return cost
-    return cost * ((1.0 - v) + v / s)
+    return cost * SIMD_COST_FACTOR
 
 
 def write_trace(path: str | os.PathLike, models: Sequence[CostModel]) -> None:

@@ -157,8 +157,8 @@ def test_criterion_8_reference_oracle_equivalence():
         ratio = float(rng.uniform(1.3, 3.0))
         plat = Platform(
             clusters=(
-                (CoreType("fast", 2.0, 1000.0, 1.0, 0.1), n_big),
-                (CoreType("slow", 1.4, 1000.0 / ratio, 0.4, 0.05), n_little),
+                (CoreType("fast", 1000.0, 1.0, 0.1), n_big),
+                (CoreType("slow", 1000.0 / ratio, 0.4, 0.05), n_little),
             ),
             base_power_w=1.0,
         )
@@ -206,7 +206,7 @@ def test_criterion_9_analytic_wavefront_exact():
     checks = []
     for rows, cols in ((1, 1), (3, 5), (17, 30)):
         plat = Platform(
-            clusters=((CoreType("core", 2.0, 1000.0, 1.0, 0.1), rows),),
+            clusters=((CoreType("core", 1000.0, 1.0, 0.1), rows),),
             base_power_w=1.0,
         )
         cfg = SimConfig(
@@ -413,8 +413,8 @@ def _invariant_configs():
                  (5, 5), (6, 8), (3, 8), (8, 3), (4, 7)]
     plat = Platform(
         clusters=(
-            (CoreType("big", 2.0, 1000.0, 1.10, 0.10), 4),
-            (CoreType("little", 1.4, 1000.0 / 2.24, 0.28, 0.05), 4),
+            (CoreType("big", 1000.0, 1.10, 0.10), 4),
+            (CoreType("little", 1000.0 / 2.24, 0.28, 0.05), 4),
         ),
         base_power_w=1.0,
     )

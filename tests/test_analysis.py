@@ -393,8 +393,8 @@ def test_reference_agrees_under_memory_contention():
         n_little = int(rng.integers(1, 5 - n_big))
         plat = Platform(
             clusters=(
-                (CoreType("fast", 2.0, 1000.0, 1.0, 0.1), n_big),
-                (CoreType("slow", 1.4, 1000.0 / rng.uniform(1.3, 3.0), 0.4, 0.05),
+                (CoreType("fast", 1000.0, 1.0, 0.1), n_big),
+                (CoreType("slow", 1000.0 / rng.uniform(1.3, 3.0), 0.4, 0.05),
                  n_little),
             ),
             base_power_w=1.0,

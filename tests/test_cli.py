@@ -81,6 +81,13 @@ _REJECTED_ARGUMENTS = [
      "wavesched sweep: error: argument --threads: thread range '4..2' ends below its start"),
     (["sweep", "--simd", "off,maybe"],
      "wavesched sweep: error: argument --simd: simd must be 'on' or 'off', got 'maybe'"),
+    (["run", "--seed", "-1"],
+     "wavesched run: error: argument --seed: seed must be a non-negative integer, got '-1'"),
+    (["sweep", "--seed", "-1"],
+     "wavesched sweep: error: argument --seed: seed must be a non-negative integer, got '-1'"),
+    (["paper-repro", "--seed", "-1"],
+     "wavesched paper-repro: error: argument --seed: "
+     "seed must be a non-negative integer, got '-1'"),
 ]
 
 
@@ -119,6 +126,12 @@ def test_deadlock_exits_with_code_two(capsys, monkeypatch):
     pytest.param("--mean-wu", "1e300",
                  r"error: \S+ s of simulated time needs more than 1000000 power samples"
                  r" at \S+ s\n", id="1e300"),
+    pytest.param("--mean-wu", "1e-306",
+                 r"error: \S+ s of simulated time for 1 frames is below \S+ s per frame,"
+                 r" the smallest normal float\n", id="1e-306"),
+    pytest.param("--mean-wu", "1e-320",
+                 r"error: \S+ s of simulated time for 1 frames is below \S+ s per frame,"
+                 r" the smallest normal float\n", id="1e-320"),
     pytest.param("--sigma", "nan",
                  r"error: sigma must be finite with a finite square, got nan\n", id="sigma-nan"),
     pytest.param("--sigma", "inf",
@@ -134,8 +147,9 @@ def test_deadlock_exits_with_code_two(capsys, monkeypatch):
                  id="sigma-1e150"),
 ])
 def test_run_rejects_unbounded_simulated_time(flag, value, stderr):
-    """The mean_wu cases once hung in the power-sample loop while memory grew
-    by about 250 MiB/s; the sigma cases once ended in an OverflowError
+    """The large mean_wu case once hung in the power-sample loop while memory
+    grew by about 250 MiB/s, and the tiny ones ended in the energy identity
+    check with fps inf; the sigma cases once ended in an OverflowError
     traceback, or in a numpy RuntimeWarning or an underflow to 0, and an error
     that named no cause.
     A fresh interpreter under a 1 GiB address-space cap and a timeout, so a
@@ -471,3 +485,46 @@ def test_every_accepted_flag_acts(command, tmp_path, capsys, monkeypatch):
         if not ((code == 0 and out != base_out) or (code == 1 and err.startswith("error: "))):
             idle.append(f"{flag} {value}")
     assert idle == []
+
+
+# --- every config key acts ------------------------------------------------------------
+
+
+def test_every_config_key_acts(tmp_path, capsys, monkeypatch):
+    """A key that config_to_text writes must change a run's output, or fail
+    with exit code 1 and a message; a key the model never reads is a silent
+    no-op. The run uses SIMD and cores of both clusters, and lasts several
+    power sampling intervals."""
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    text = platform_mod.config_to_text(default_platform(), 2000.0)
+    path = tmp_path / "board.conf"
+    argv = ["run", "--grid", "8x10", "--frames", "2", "--policy", "affinity",
+            "--threads", "8", "--simd", "on", "--platform", str(path)]
+    path.write_text(text)
+    code, base_out, err = _run_cli(argv, capsys)
+    assert code == 0, err
+    assert json.loads(base_out)["wall_time_s"] > 4 * default_platform().sample_interval_s
+    pairs = re.findall(r"^(\S+) = (\S+)$", text, flags=re.M)
+    assert len(pairs) == text.count(" = ")
+    idle = []
+    for key, value in pairs:
+        new = float(value) * 1.5 if float(value) else 0.5
+        path.write_text(text.replace(f"\n{key} = {value}\n", f"\n{key} = {new!r}\n"))
+        code, out, err = _run_cli(argv, capsys)
+        if not ((code == 0 and out != base_out) or (code == 1 and err.startswith("error: "))):
+            idle.append(f"{key} = {new!r}")
+    assert idle == []
+
+
+def test_config_with_a_dropped_key_names_file_line_and_key(tmp_path, capsys, monkeypatch):
+    """Configs written before freq_ghz was dropped fail with a named cause."""
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    lines = platform_mod.config_to_text(default_platform()).splitlines()
+    at = lines.index("big.count = 4") + 1
+    lines.insert(at, "big.freq_ghz = 2.0")
+    path = tmp_path / "old.conf"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = _run_cli(["run", "--grid", "2x2", "--frames", "1",
+                               "--platform", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {path}:{at + 1}: unknown cluster key 'freq_ghz'\n"

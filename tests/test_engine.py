@@ -13,7 +13,7 @@ from wavesched.wpp_graph import GridDims, Phase
 PLAT = default_platform()
 # One identical core per row of the default grid, for pure wavefront timing.
 WIDE_PLAT = Platform(
-    clusters=((CoreType("core", 2.0, 1000.0, 1.0, 0.1), 17),), base_power_w=1.0
+    clusters=((CoreType("core", 1000.0, 1.0, 0.1), 17),), base_power_w=1.0
 )
 T_CTU = 0.1  # 100 wu on a 1000 wu/s core
 
@@ -132,8 +132,7 @@ def test_work_conservation_without_overhead():
 def test_simd_scales_serial_makespan_exactly():
     plain = engine.simulate(_config(GridDims(5, 8), phi=0.15))[1]
     simd = engine.simulate(_config(GridDims(5, 8), phi=0.15, simd=True))[1]
-    spec = WorkloadSpec(kind="uniform", mean_wu=100.0)
-    factor = effective_cost(1.0, True, spec.vector_fraction, spec.vector_speedup)
+    factor = effective_cost(1.0, True)
     assert simd.wall_time_s == pytest.approx(plain.wall_time_s * factor, rel=1e-12)
 
 
@@ -166,7 +165,7 @@ _CLUSTERS = st.lists(st.tuples(st.sampled_from(_SPEEDS), st.integers(1, 3)),
 
 def _clustered(clusters, kappa):
     return Platform(
-        clusters=tuple((CoreType(f"c{i}", 2.0, speed, 1.0, 0.1), n)
+        clusters=tuple((CoreType(f"c{i}", speed, 1.0, 0.1), n)
                        for i, (speed, n) in enumerate(clusters)),
         base_power_w=1.0, memory_contention=kappa,
     )
@@ -319,9 +318,11 @@ def test_deadlock_report_names_the_stalled_task_and_parking(monkeypatch):
     ]
 
 
-def test_run_sweep_isolates_failing_cells():
+def test_simulate_cells_isolates_failing_cells():
     base = _config(GridDims(3, 4), phi=0.15)
-    results = engine.run_sweep(base, [1, 9], ["big-os", "static"])
+    results = engine.simulate_cells(base, [
+        ("big-os", 1, False), ("big-os", 9, False), ("static", 1, False), ("static", 9, False),
+    ])
     assert isinstance(results[("static", 9, False)], ValueError)
     ok = results[("big-os", 1, False)]
     assert ok.fps > 0
@@ -340,18 +341,12 @@ def test_cells_with_one_schedule_are_simulated_once(monkeypatch):
         return simulate(cfg)
 
     monkeypatch.setattr(engine, "simulate", counted)
-    results = engine.run_sweep(_config(GridDims(3, 4), phi=0.15), [4, 5],
-                               ["affinity", "static", "big-os"])
+    results = engine.simulate_cells(_config(GridDims(3, 4), phi=0.15), [
+        (kind, n, False) for kind in ("affinity", "static", "big-os") for n in (4, 5)
+    ])
     assert simulated == [("big-os", 4), ("affinity", 5), ("static", 5), ("big-os", 5)]
     shared = results[("big-os", 4, False)]
     assert results[("affinity", 4, False)] is shared
     assert results[("static", 4, False)] is shared
     assert len({id(r) for r in results.values()}) == 4
 
-
-def test_run_sweep_rejects_empty_axes():
-    base = _config(GridDims(2, 2))
-    with pytest.raises(ValueError):
-        engine.run_sweep(base, [], ["big-os"])
-    with pytest.raises(ValueError):
-        engine.run_sweep(base, [1], [])

@@ -40,9 +40,9 @@ TABLES = {
     "sweep.json": ["sweep", "--format", "json"],
 }
 
-_BIG = CoreType("big", 2.0, 1000.0, 1.10, 0.10, 0.96)
-_LITTLE = CoreType("little", 1.4, 1000.0 / 2.24, 0.28, 0.05, 0.96)
-_MID = CoreType("mid", 1.7, 700.0, 0.60, 0.08)
+_BIG = CoreType("big", 1000.0, 1.10, 0.10, 0.96)
+_LITTLE = CoreType("little", 1000.0 / 2.24, 0.28, 0.05, 0.96)
+_MID = CoreType("mid", 700.0, 0.60, 0.08)
 
 
 def _platform(kappa=0.0, clusters=((_BIG, 4), (_LITTLE, 4))):

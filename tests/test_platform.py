@@ -47,15 +47,15 @@ def _run(kind, threads, platform, mean_wu, filter_fraction=0.15):
 
 def test_core_type_rejects_bad_values():
     with pytest.raises(ValueError):
-        CoreType("x", 1.0, 0.0, 1.0, 0.1)
+        CoreType("x", 0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
-        CoreType("x", 1.0, 100.0, 0.1, 1.0)  # active < idle
+        CoreType("x", 100.0, 0.1, 1.0)  # active < idle
     with pytest.raises(ValueError):
-        CoreType("x", 1.0, 100.0, 1.0, 0.1, simd_power_factor=0.0)
+        CoreType("x", 100.0, 1.0, 0.1, simd_power_factor=0.0)
 
 
 def test_platform_validation():
-    ct = CoreType("x", 1.0, 100.0, 1.0, 0.1)
+    ct = CoreType("x", 100.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         Platform(clusters=((ct, 0),))
     with pytest.raises(ValueError):
@@ -66,7 +66,7 @@ def test_platform_validation():
 
 @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
 def test_platform_rejects_bad_memory_contention(bad):
-    ct = CoreType("x", 1.0, 100.0, 1.0, 0.1)
+    ct = CoreType("x", 100.0, 1.0, 0.1)
     with pytest.raises(ValueError, match="memory_contention must be finite and >= 0"):
         Platform(clusters=((ct, 1),), memory_contention=bad)
 
@@ -81,8 +81,8 @@ def test_default_platform_shape():
 
 
 def test_big_little_split_follows_speed():
-    fast = CoreType("fast", 1.0, 500.0, 1.0, 0.1)
-    slow = CoreType("slow", 1.0, 200.0, 0.5, 0.05)
+    fast = CoreType("fast", 500.0, 1.0, 0.1)
+    slow = CoreType("slow", 200.0, 0.5, 0.05)
     plat = Platform(clusters=((slow, 2), (fast, 1)))
     assert plat.big_ids == (2,)
     assert plat.little_ids == (0, 1)
@@ -193,7 +193,7 @@ def test_config_bad_memory_contention_is_named(bad):
 @pytest.mark.parametrize(
     "key",
     [
-        "base_power_w", "sample_interval_s", "mean_wu", "big.count", "big.freq_ghz",
+        "base_power_w", "sample_interval_s", "mean_wu", "big.count",
         "big.speed_wu_per_s", "big.active_power_w", "big.idle_power_w",
         "little.simd_power_factor",
     ],
@@ -214,10 +214,10 @@ def test_config_negative_cluster_count_is_named():
 
 def test_core_type_and_platform_reject_non_finite_values():
     with pytest.raises(ValueError, match="x.speed_wu_per_s must be finite"):
-        CoreType("x", 1.0, float("inf"), 1.0, 0.1)
+        CoreType("x", float("inf"), 1.0, 0.1)
     with pytest.raises(ValueError, match="x.idle_power_w must be finite"):
-        CoreType("x", 1.0, 100.0, 1.0, float("nan"))
-    ct = CoreType("x", 1.0, 100.0, 1.0, 0.1)
+        CoreType("x", 100.0, 1.0, float("nan"))
+    ct = CoreType("x", 100.0, 1.0, 0.1)
     with pytest.raises(ValueError, match="base_power_w must be finite"):
         Platform(clusters=((ct, 1),), base_power_w=float("nan"))
     with pytest.raises(ValueError, match="sample_interval_s must be finite"):
@@ -242,7 +242,7 @@ def test_config_duplicate_key_reports_line():
 
 
 def test_config_missing_cluster_key_is_named():
-    text = "big.count = 4\nbig.freq_ghz = 2.0\n"
+    text = "big.count = 4\nbig.speed_wu_per_s = 1000.0\n"
     with pytest.raises(ValueError, match=r"cluster 'big' missing keys"):
         parse_config_text(text)
 
