@@ -3,8 +3,14 @@ the bundled-reference reproduction preset.
 
 Output goes to stdout unless --out is given; file writes are atomic
 (temp file in the destination directory, then rename). Exit codes: 0 on
-success, 1 for configuration problems, 2 when the simulation itself fails
-(dependency deadlock).
+success, 1 for configuration problems (and for a sweep in which no cell
+succeeds), 2 when the simulation itself fails (dependency deadlock).
+
+The simulator modules are imported by the code that uses them, after the
+arguments have parsed: `--help` and a rejected argument run on argparse and
+this module alone. They are called as module attributes (`engine.simulate`),
+looked up at call time, so that a test or a profiler that rebinds one sees
+every call.
 """
 
 from __future__ import annotations
@@ -14,12 +20,17 @@ import json
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from wavesched import analysis, engine, platform as platform_mod, policies, workload
-from wavesched.wpp_graph import GridDims
+from wavesched import DEFAULT_FILTER_FRACTION, DEFAULT_SIGMA, POLICY_KINDS
+
+if TYPE_CHECKING:
+    from wavesched.platform import Platform
+    from wavesched.workload import WorkloadSpec
+    from wavesched.wpp_graph import GridDims
 
 CONFIG_ENV_VAR = "WAVESCHED_CONFIG"
-DEFAULT_GRID = GridDims(17, 30)
+DEFAULT_GRID = "17x30"  # parsed by _parse_grid, as a --grid value is
 DEFAULT_FRAMES = 4
 DEFAULT_SEED = 7
 
@@ -39,6 +50,8 @@ MAX_THREADS = 256
 
 
 def _parse_grid(text: str) -> GridDims:
+    from wavesched.wpp_graph import GridDims
+
     m = re.fullmatch(r"(\d+)\s*[xX]\s*(\d+)", text.strip())
     if not m:
         raise argparse.ArgumentTypeError(f"grid must look like ROWSxCOLS, got {text!r}")
@@ -112,6 +125,8 @@ def _parse_simd_list(text: str) -> list[bool]:
 
 
 def _parse_policies_list(text: str) -> list[str]:
+    from wavesched import policies
+
     try:
         kinds = [policies.canonical_kind(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
@@ -122,15 +137,19 @@ def _parse_policies_list(text: str) -> list[str]:
     return [k for k in kinds if not (k in seen or seen.add(k))]
 
 
-def _platform_from_args(args) -> tuple[platform_mod.Platform, float | None]:
+def _platform_from_args(args) -> tuple[Platform, float | None]:
     """Platform and optional mean_wu from --platform, $WAVESCHED_CONFIG, or defaults."""
+    from wavesched import platform as platform_mod
+
     path = args.platform or os.environ.get(CONFIG_ENV_VAR)
     if path:
         return platform_mod.load_platform_config(path)
     return platform_mod.default_platform(), None
 
 
-def _workload_from_args(args, file_mean_wu: float | None) -> workload.WorkloadSpec:
+def _workload_from_args(args, file_mean_wu: float | None) -> WorkloadSpec:
+    from wavesched import workload
+
     spec_text = args.workload
     path = None
     if spec_text.startswith("trace:"):
@@ -172,6 +191,8 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cell_dict(key, cell) -> dict:
+    from wavesched import analysis
+
     policy, threads, simd = key
     if isinstance(cell, Exception):
         return {"policy": policy, "threads": threads, "simd": simd,
@@ -182,6 +203,8 @@ def _cell_dict(key, cell) -> dict:
 
 
 def _cmd_run(args) -> int:
+    from wavesched import analysis, engine, policies
+
     plat, file_mean = _platform_from_args(args)
     cfg = engine.SimConfig(
         dims=args.grid,
@@ -202,6 +225,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from wavesched import analysis, engine, policies
+
     plat, file_mean = _platform_from_args(args)
     wl = _workload_from_args(args, file_mean)
     base = engine.SimConfig(
@@ -220,10 +245,15 @@ def _cmd_sweep(args) -> int:
     else:
         text = analysis.reports_to_csv(results)
     _write_output(text, args.out)
+    if all(isinstance(cell, Exception) for cell in results.values()):
+        print("error: no cell of the sweep succeeded", file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_calibrate(args) -> int:
+    from wavesched import platform as platform_mod
+
     plat, _ = _platform_from_args(args)
     result = platform_mod.calibrate(args.grid, args.filter_fraction, platform=plat)
     lines = [platform_mod.config_to_text(result.platform, result.mean_wu).rstrip("\n")]
@@ -240,13 +270,15 @@ def _repro_cells(targets) -> list[tuple[str, int, bool]]:
         {
             (policy, threads, simd)
             for (policy, threads, simd, metric) in targets
-            if metric in ("fps", "epf") and policy in policies.POLICY_KINDS
+            if metric in ("fps", "epf") and policy in POLICY_KINDS
         }
     )
     return cells
 
 
 def _cmd_paper_repro(args) -> int:
+    from wavesched import analysis, engine, platform as platform_mod, policies, workload
+
     targets = analysis.load_reference_targets()
     cal = platform_mod.calibrate(args.grid, args.filter_fraction)
     wl = workload.WorkloadSpec(
@@ -285,8 +317,8 @@ def _cmd_paper_repro(args) -> int:
 def _add_common_flags(sub) -> None:
     sub.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID,
                      metavar="RxC",
-                     help=f"CTU grid, rows x columns (default 17x30); CTUs x frames "
-                          f"at most {MAX_CTU_FRAMES}")
+                     help=f"CTU grid, rows x columns (default {DEFAULT_GRID}); "
+                          f"CTUs x frames at most {MAX_CTU_FRAMES}")
     sub.add_argument("--out", metavar="PATH", help="output file (default stdout)")
 
 
@@ -308,8 +340,8 @@ def _add_workload_flags(sub) -> None:
                      help="per-CTU cost source (default lognormal)")
     sub.add_argument("--mean-wu", type=float, default=None, dest="mean_wu",
                      help="mean CTU cost in work units (default: config file, else 100)")
-    sub.add_argument("--sigma", type=float, default=workload.DEFAULT_SIGMA,
-                     help=f"lognormal shape parameter (default {workload.DEFAULT_SIGMA})")
+    sub.add_argument("--sigma", type=float, default=DEFAULT_SIGMA,
+                     help=f"lognormal shape parameter (default {DEFAULT_SIGMA})")
     sub.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                      help=f"workload RNG seed (default {DEFAULT_SEED})")
 
@@ -345,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"thread counts, e.g. 1..8 or 1,2,4, each at most {MAX_THREADS} "
                             "(default 1..8)")
     sweep.add_argument("--policies", type=_parse_policies_list,
-                       default=list(policies.POLICY_KINDS), metavar="LIST",
+                       default=list(POLICY_KINDS), metavar="LIST",
                        help="comma-separated policies (default all four)")
     sweep.add_argument("--simd", type=_parse_simd_list, default=[False],
                        metavar="LIST", help="simd flags, e.g. off,on (default off)")
@@ -356,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(cal)
     _add_platform_flag(cal)
     cal.add_argument("--filter-fraction", type=float,
-                     default=workload.DEFAULT_FILTER_FRACTION, dest="filter_fraction",
+                     default=DEFAULT_FILTER_FRACTION, dest="filter_fraction",
                      help="filter share of frame work used by the probe runs")
     cal.set_defaults(func=_cmd_calibrate)
 
@@ -365,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(repro)
     _add_table_flags(repro, default_format="csv")
     repro.add_argument("--filter-fraction", type=float,
-                       default=workload.DEFAULT_FILTER_FRACTION, dest="filter_fraction",
+                       default=DEFAULT_FILTER_FRACTION, dest="filter_fraction",
                        help="filter share of frame work")
     repro.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                        help=f"workload RNG seed (default {DEFAULT_SEED})")
@@ -385,6 +417,8 @@ def main(argv=None) -> int:
                          f"MAX_CTU_FRAMES = {MAX_CTU_FRAMES}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    from wavesched import engine
+
     try:
         return args.func(args)
     except engine.DeadlockError as exc:

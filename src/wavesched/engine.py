@@ -477,12 +477,19 @@ def simulate(config: SimConfig):
 def simulate_cells(base: SimConfig, cells):
     """Simulate each (policy, threads, simd) cell on `base`'s grid, frames,
     workload, platform and migration overhead; returns {cell: report}, with
-    the policy kind canonical. A failing cell maps to its exception.
+    the policy kind canonical.
+
+    The costs every cell shares are generated once first, so an error in
+    them (a trace file, a cost that underflows) is raised, not given to each
+    cell. A cell that fails on its own maps to its exception: a thread count
+    its policy cannot hold, a deadlock, or a run too long or too short to
+    measure (`ValueError` from `analysis.compute_metrics`).
 
     Cells whose policies give the same schedule (`policies.schedule_of`) at
     the same thread count and SIMD flag are simulated once and share one
     report, or one exception.
     """
+    base.cost_models()
     results = {}
     by_schedule = {}
     for kind, threads, simd in cells:
@@ -495,7 +502,7 @@ def simulate_cells(base: SimConfig, cells):
             cfg = replace(base, policy=replace(spec, kind=schedule), simd=simd)
             try:
                 by_schedule[key] = simulate(cfg)[1]
-            except Exception as exc:  # noqa: BLE001 - cell isolation
+            except (ValueError, DeadlockError) as exc:
                 by_schedule[key] = exc
         results[(spec.kind, threads, simd)] = by_schedule[key]
     return results

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from wavesched import POLICY_KINDS
 from wavesched.platform import Platform
 from wavesched.wpp_graph import CtuCoord, GridDims
 
 DEFAULT_MIGRATION_OVERHEAD_S = 100e-6
-
-POLICY_KINDS = ("big-os", "little", "static", "affinity")
 
 _ALIASES = {
     "bigos": "big-os",

@@ -14,13 +14,11 @@ import os
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
+from wavesched import DEFAULT_FILTER_FRACTION, DEFAULT_SIGMA
 from wavesched.wpp_graph import GridDims, Phase
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_FILTER_FRACTION = 0.15
-DEFAULT_SIGMA = 0.4
 
 # Share of the filter work taken by each filter pass.
 FILTER_SPLIT = {Phase.HFILTER: 0.3, Phase.VFILTER: 0.3, Phase.SAO: 0.4}

@@ -10,12 +10,16 @@ import re
 import resource
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from wavesched import cli, engine, platform as platform_mod, policies
+import wavesched
+from wavesched import analysis, cli, engine, platform as platform_mod, policies
 from wavesched.platform import default_platform
+from wavesched.workload import WorkloadSpec, generate, write_trace
+from wavesched.wpp_graph import GridDims
 
 
 def _run_cli(argv, capsys):
@@ -169,18 +173,19 @@ def test_run_rejects_unbounded_simulated_time(flag, value, stderr):
     assert re.fullmatch(stderr, proc.stderr), proc.stderr
 
 
+_DEFAULT_CTUS = cli._parse_grid(cli.DEFAULT_GRID).n_ctus
 _AT_LIMIT = [
     ["run", "--grid", "1000x100", "--frames", "1"],
     ["run", "--threads", str(cli.MAX_THREADS)],
     ["sweep", "--threads", f"1,{cli.MAX_THREADS}"],
-    ["paper-repro", "--frames", str(cli.MAX_CTU_FRAMES // cli.DEFAULT_GRID.n_ctus)],
+    ["paper-repro", "--frames", str(cli.MAX_CTU_FRAMES // _DEFAULT_CTUS)],
 ]
 _PAST_LIMIT = [
     (["run", "--grid", "300x300"], "MAX_CTU_FRAMES"),
     (["run", "--grid", "1000x100", "--frames", "2"], "MAX_CTU_FRAMES"),
     (["run", "--grid", "1001x100", "--frames", "1"], "MAX_CTU_FRAMES"),
     (["calibrate", "--grid", "1001x100"], "MAX_CTU_FRAMES"),
-    (["paper-repro", "--frames", str(cli.MAX_CTU_FRAMES // cli.DEFAULT_GRID.n_ctus + 1)],
+    (["paper-repro", "--frames", str(cli.MAX_CTU_FRAMES // _DEFAULT_CTUS + 1)],
      "MAX_CTU_FRAMES"),
     (["run", "--threads", str(cli.MAX_THREADS + 1)], "MAX_THREADS"),
     (["sweep", "--threads", f"1..{cli.MAX_THREADS + 1}"], "MAX_THREADS"),
@@ -247,6 +252,33 @@ def test_sweep_isolates_failing_cells(capsys):
     status = {row[1]: row[-1] for row in rows[1:]}
     assert status["8"] == "ok"
     assert status["9"].startswith("error:")
+
+
+_SMALL_SWEEP = ["sweep", "--grid", "2x2", "--frames", "1", "--threads", "1,2",
+                "--policies", "big-os"]
+
+
+def test_sweep_reports_a_shared_input_error_once(tmp_path, capsys):
+    """An input no cell can use is one error and exit code 1, not one error
+    row per cell."""
+    trace = tmp_path / "3x3.trace"
+    write_trace(trace, generate(WorkloadSpec(), GridDims(3, 3), 1))
+    for flags, cause in [
+        (["--workload", f"trace:{tmp_path / 'missing'}"], "No such file"),
+        (["--workload", f"trace:{trace}"], "does not match requested 2x2"),
+        (["--sigma", "40"], "underflows a lognormal cost"),
+    ]:
+        code, out, err = _run_cli(_SMALL_SWEEP + flags, capsys)
+        assert (code, out) == (1, ""), flags
+        assert err.startswith("error: ") and err.count("\n") == 1 and cause in err, err
+
+
+def test_sweep_exits_one_when_no_cell_succeeds(capsys):
+    code, out, err = _run_cli(_SMALL_SWEEP + ["--mean-wu", "1e300"], capsys)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 1 and err == "error: no cell of the sweep succeeded\n"
+    assert len(rows) == 3
+    assert all("power samples" in row[-1] for row in rows[1:])
 
 
 def test_sweep_json_rows_carry_status(capsys):
@@ -370,31 +402,111 @@ def test_calibrate_and_repro_do_not_import_scipy(tmp_path):
 
 
 def test_help_and_rejected_input_do_not_import_numpy(tmp_path):
-    """numpy is imported by the first workload generation or calibration:
-    in a fresh interpreter, importing the CLI, `--help` and inputs rejected
-    at parse or config time leave it unloaded; a small run loads it."""
+    """In a fresh interpreter, importing the CLI and every `--help` load no
+    simulator module, no dataclasses and no numpy; an argument rejected at
+    parse time loads neither the engine, analysis nor numpy, and one
+    rejected at config time leaves numpy unloaded. numpy is imported by the
+    first workload generation or calibration: a small run loads it."""
     path = tmp_path / "board.conf"
     text = platform_mod.config_to_text(default_platform())
     path.write_text(re.sub(r"^base_power_w = .*$", "base_power_w = nan", text, flags=re.M))
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop(cli.CONFIG_ENV_VAR, None)
+    helps = [["--help"]] + [[command, "--help"]
+                             for command in ("run", "sweep", "calibrate", "paper-repro")]
+    parse_rejects = [["run", "--threads", "999"], ["run", "--grid", "0x0"],
+                     ["sweep", "--simd", "maybe"]]
+    argvs = helps + parse_rejects + [["run", "--platform", str(path)],
+                                     ["run", "--grid", "2x2", "--frames", "1"]]
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from wavesched import cli\n"
-        "seen = ['numpy' in sys.modules]\n"
-        "for argv in (['--help'], ['run', '--grid', '0x0'], ['run', '--threads', '999'],\n"
-        f"             ['run', '--platform', {str(path)!r}],\n"
-        "             ['run', '--grid', '2x2', '--frames', '1']):\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m in ('dataclasses', 'numpy')\n"
+        "                  or m.startswith('wavesched.') and m != 'wavesched.cli')\n"
+        "seen = [[None, loaded()]]\n"
+        f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
-        "        seen.append((cli.main(argv), 'numpy' in sys.modules))\n"
-        "print(seen)\n"
+        "        seen.append([cli.main(argv), loaded()])\n"
+        "print(json.dumps(seen))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, (0, False), (1, False), (1, False), (1, False), (0, True)]\n"
+    seen = json.loads(proc.stdout)
+    assert seen[:1 + len(helps)] == [[None, []]] + [[0, []]] * len(helps)
+    for code, modules in seen[1 + len(helps):-2]:
+        assert code == 1
+        assert not {"wavesched.engine", "wavesched.analysis", "numpy"} & set(modules)
+    (config_code, config_modules), (run_code, run_modules) = seen[-2:]
+    assert config_code == 1 and "numpy" not in config_modules
+    assert run_code == 0 and "numpy" in run_modules
+
+
+def _counting(calls: Counter, name: str, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_benchmark_hooks_stay_bound(capsys, monkeypatch):
+    """perfbench/invoke.py times the layers and counts events by rebinding
+    these module attributes; the CLI must look each one up when it calls it,
+    or the benchmark's spans and counts silently read zero."""
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    hooks = [(engine, "simulate"), (engine, "generate"), (engine, "make_policy"),
+             (analysis, "compute_metrics"), (analysis, "instantaneous_power"),
+             (analysis, "report_to_dict"), (platform_mod, "calibrate")]
+    names = {f"{module.__name__}.{attr}" for module, attr in hooks}
+    calls: Counter = Counter()
+    for module, attr in hooks:
+        monkeypatch.setattr(module, attr, _counting(
+            calls, f"{module.__name__}.{attr}", getattr(module, attr)))
+    called = {}
+    for argv in (["run", "--grid", "3x4", "--frames", "1"],
+                 ["paper-repro", "--grid", "3x4", "--frames", "1"]):
+        calls.clear()
+        code, _, err = _run_cli(argv, capsys)
+        assert code == 0, err
+        called[argv[0]] = set(calls)
+    assert called["run"] == names - {"wavesched.platform.calibrate"}
+    assert called["paper-repro"] >= names - {"wavesched.analysis.report_to_dict"}
+
+
+def test_parser_defaults_have_one_definition():
+    """The defaults `sweep` and `paper-repro` parse, and those the help text
+    prints, are the package's own constants, which the parser reads without
+    importing a simulator module."""
+    parser = cli._build_parser()
+    grid = cli._parse_grid(cli.DEFAULT_GRID)
+    sweep = parser.parse_args(["sweep"])
+    assert (sweep.sigma, sweep.policies, sweep.frames, sweep.grid) == (
+        wavesched.DEFAULT_SIGMA, list(wavesched.POLICY_KINDS), cli.DEFAULT_FRAMES, grid)
+    repro = parser.parse_args(["paper-repro"])
+    assert (repro.filter_fraction, repro.frames, repro.grid) == (
+        wavesched.DEFAULT_FILTER_FRACTION, cli.DEFAULT_FRAMES, grid)
+    assert policies.POLICY_KINDS is wavesched.POLICY_KINDS
+    spec = WorkloadSpec()
+    assert (spec.sigma, spec.filter_fraction) == (
+        wavesched.DEFAULT_SIGMA, wavesched.DEFAULT_FILTER_FRACTION)
+
+    printed = {command: " ".join(sub.format_help().split())
+               for command, sub in _subcommands().items()}
+    for command, text in printed.items():
+        assert f"(default {cli.DEFAULT_GRID})" in text, command
+    for command in ("run", "sweep"):
+        assert f"(default {wavesched.DEFAULT_SIGMA})" in printed[command]
+    for command in ("run", "sweep", "paper-repro"):
+        assert f"(default {cli.DEFAULT_FRAMES})" in printed[command]
+        assert f"(default {cli.DEFAULT_SEED})" in printed[command]
+
+    for name in wavesched.__all__:
+        getattr(wavesched, name)
+        assert name in dir(wavesched)
 
 
 # --- paper-repro --------------------------------------------------------------------

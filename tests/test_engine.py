@@ -1,5 +1,7 @@
 """Event-driven simulator tests: makespans, wavefront timing, determinism."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -330,6 +332,29 @@ def test_simulate_cells_isolates_failing_cells():
         ("big-os", 1, False), ("big-os", 9, False),
         ("static", 1, False), ("static", 9, False),
     }
+
+
+def test_simulate_cells_raises_a_shared_input_error_before_any_cell(monkeypatch, tmp_path):
+    """An error in the costs every cell shares is raised once, before any
+    cell runs; an error a cell cannot raise on its own (here a TypeError)
+    is not mapped to the cell either."""
+    simulated = []
+    monkeypatch.setattr(engine, "simulate", lambda cfg: simulated.append(cfg))
+    cells = [("big-os", 1, False), ("big-os", 2, False)]
+    base = _config(GridDims(3, 4))
+    missing = replace(base, workload=WorkloadSpec(kind="trace", path=str(tmp_path / "none")))
+    with pytest.raises(OSError):
+        engine.simulate_cells(missing, cells)
+    with pytest.raises(ValueError, match="underflows"):
+        engine.simulate_cells(_config(GridDims(3, 4), sigma=40.0), cells)
+    assert simulated == []
+
+    def broken(cfg):
+        raise TypeError("a bug, not a cell's failure")
+
+    monkeypatch.setattr(engine, "simulate", broken)
+    with pytest.raises(TypeError):
+        engine.simulate_cells(base, cells)
 
 
 def test_cells_with_one_schedule_are_simulated_once(monkeypatch):
