@@ -177,16 +177,21 @@ def _write_output(text: str, out_path: str | None) -> None:
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wavesched-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wavesched-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, out_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            # Name the path the user gave, not the temp file beside it.
+            raise OSError(exc.errno, exc.strerror, out_path) from None
         raise
 
 

@@ -18,7 +18,7 @@ decisions. A parked thread (out of rows) releases the core entirely.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from wavesched.platform import Platform
@@ -77,12 +77,19 @@ class SimConfig:
     platform: Platform
     policy: PolicySpec
     simd: bool = False
+    # generate(workload, dims, frames), when a caller holds it; not compared
+    costs: tuple[CostModel, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
+        if self.costs is not None and (
+                len(self.costs) != self.frames or self.costs[0].dims != self.dims):
+            raise ValueError("cost table does not match the grid and frame count")
 
     def cost_models(self) -> list[CostModel]:
+        if self.costs is not None:
+            return list(self.costs)
         return generate(self.workload, self.dims, self.frames)
 
 
@@ -479,17 +486,18 @@ def simulate_cells(base: SimConfig, cells):
     workload, platform and migration overhead; returns {cell: report}, with
     the policy kind canonical.
 
-    The costs every cell shares are generated once first, so an error in
-    them (a trace file, a cost that underflows) is raised, not given to each
-    cell. A cell that fails on its own maps to its exception: a thread count
-    its policy cannot hold, a deadlock, or a run too long or too short to
-    measure (`ValueError` from `analysis.compute_metrics`).
+    The costs every cell shares are generated once, before the first cell,
+    and every cell simulates on that table; an error in them (a trace file,
+    a cost that underflows) is raised, not given to each cell. A cell that
+    fails on its own maps to its exception: a thread count its policy cannot
+    hold, a deadlock, or a run too long or too short to measure
+    (`ValueError` from `analysis.compute_metrics`).
 
     Cells whose policies give the same schedule (`policies.schedule_of`) at
     the same thread count and SIMD flag are simulated once and share one
     report, or one exception.
     """
-    base.cost_models()
+    base = replace(base, costs=tuple(base.cost_models()))
     results = {}
     by_schedule = {}
     for kind, threads, simd in cells:

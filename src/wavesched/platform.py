@@ -457,6 +457,11 @@ def calibrate(
         little_run = run(probe_platform, 4, mean_wu, kind="little")
         t0_l = little_run.wall_time_s
         ratio = (ratio0 / tgt["fps_little_4"] - kappa * (active_s(little_run) - t0_l)) / t0_l
+        if ratio <= 1.0:
+            raise ValueError(
+                f"grid {dims.rows}x{dims.cols} cannot reach the fps_little_4 quote "
+                f"({tgt['fps_little_4']:g} fps): the fitted fast-to-slow speed ratio "
+                f"is {ratio:.3f}, and it must exceed 1")
     fitted = with_fit(ratio, kappa)
     rep4 = run(fitted, 4, mean_wu)
 

@@ -15,6 +15,13 @@ Four policies are modeled:
   promote themselves at CTU boundaries under a rank guard, and fast-core
   threads that finish a row hand their core over and take the next row on a
   slow core. Bottom rows therefore end on fast cores and are never demoted.
+  At the filter stage affinity only splits the threads over the cores.
+
+The filter-CTU hook (`Policy.on_filter_ctu_complete`) acts for no policy.
+It and its calls in the engine and the reference simulator stay for now:
+the benchmark (`perfbench/invoke.py`) wraps the hook by name and counts its
+calls, and its spans are part of the traced run time that the benchmark's
+coverage gate reads, so deleting them is a benchmark change.
 """
 
 from __future__ import annotations
@@ -234,7 +241,15 @@ class StaticPinned(Policy):
 
 
 class CriticalityAware(StaticPinned):
-    """Pinned like `static` at the start, then migrates by criticality."""
+    """Pinned like `static` at the start, then migrates by criticality.
+
+    In the filter stage nothing moves after the barrier's split, so the
+    filter-CTU hook stays the base no-op. A promotion there could never act:
+    - `filter_stage_start` binds the lowest thread ids one per fast core,
+      and the engine clears `parked` and `waiting_little` at the barrier;
+    - so with more threads than fast cores every fast core holds a thread,
+      and with no more, no thread sits on a slow core.
+    """
 
     kind = "affinity"
 
@@ -260,10 +275,14 @@ class CriticalityAware(StaticPinned):
             # rows thus finish on fast cores and are never demoted.
             return [Idle()]
         actions = [TakeRow(state.next_row)]
-        if state.on_big(thread):
+        if state.on_big(thread) and state.dims.cols > 1:
             # Hand the fast core over, but only if someone can actually use
             # it; with no slow-core threads in flight, leaving would just
-            # bounce this thread for nothing.
+            # bounce this thread for nothing. A single-column row has no
+            # CTU boundary mid-row, where a slow-core thread promotes
+            # itself, so there nobody could take the core: this thread
+            # would queue for a slow core while the slow-core threads
+            # stall on its row.
             little_active = any(
                 u != thread
                 and u not in state.parked
@@ -290,14 +309,6 @@ class CriticalityAware(StaticPinned):
             if state.bindings[t] != target:
                 actions.append((t, BindTo(target)))
         return actions
-
-    def on_filter_ctu_complete(self, state: SchedState, thread: int) -> list:
-        if not state.on_little(thread):
-            return []
-        idle_big = state.idle_big_cores()
-        if idle_big:
-            return [MigrateSelf(idle_big[0])]
-        return []
 
 
 _POLICY_CLASSES = {

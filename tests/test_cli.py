@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 import wavesched
-from wavesched import analysis, cli, engine, platform as platform_mod, policies
+from wavesched import analysis, cli, engine, platform as platform_mod, policies, workload
 from wavesched.platform import default_platform
 from wavesched.workload import WorkloadSpec, generate, write_trace
 from wavesched.wpp_graph import GridDims
@@ -477,6 +477,28 @@ def test_benchmark_hooks_stay_bound(capsys, monkeypatch):
     assert called["paper-repro"] >= names - {"wavesched.analysis.report_to_dict"}
 
 
+def test_commands_generate_each_cost_table_once(tmp_path, capsys, monkeypatch):
+    """`run` and a `sweep` generate their costs once, a trace file is read
+    once, and `paper-repro` adds only the tables of calibration's six runs."""
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    trace = tmp_path / "2x2.trace"
+    write_trace(trace, generate(WorkloadSpec(), GridDims(2, 2), 1))
+    calls: Counter = Counter()
+    monkeypatch.setattr(engine, "generate", _counting(calls, "generate", engine.generate))
+    monkeypatch.setattr(workload, "load_trace",
+                        _counting(calls, "load_trace", workload.load_trace))
+    for argv, want in [
+        (["run", "--grid", "3x4", "--frames", "1"], {"generate": 1}),
+        (["paper-repro", "--grid", "3x4", "--frames", "1"], {"generate": 7}),
+        (_SMALL_SWEEP + ["--workload", f"trace:{trace}", "--policies", "big-os,little"],
+         {"generate": 1, "load_trace": 1}),
+    ]:
+        calls.clear()
+        code, _, err = _run_cli(argv, capsys)
+        assert code == 0, err
+        assert calls == want, argv
+
+
 def test_parser_defaults_have_one_definition():
     """The defaults `sweep` and `paper-repro` parse, and those the help text
     prints, are the package's own constants, which the parser reads without
@@ -507,6 +529,23 @@ def test_parser_defaults_have_one_definition():
     for name in wavesched.__all__:
         getattr(wavesched, name)
         assert name in dir(wavesched)
+
+
+def test_calibrate_names_a_grid_too_small_for_the_slow_core_quote(capsys):
+    for command in ("calibrate", "paper-repro"):
+        for grid in ("1x1", "17x1"):
+            code, out, err = _run_cli([command, "--grid", grid], capsys)
+            assert (code, out) == (1, ""), (command, grid)
+            assert err.startswith(f"error: grid {grid} cannot reach the fps_little_4 "
+                                  "quote (10.1 fps)"), err
+
+
+def test_out_into_a_missing_directory_names_that_path(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.conf", tmp_path):
+        code, out, err = _run_cli(["calibrate", "--grid", "3x4", "--out", str(target)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno") and err.endswith(f": {str(target)!r}\n"), err
+    assert os.listdir(tmp_path) == []
 
 
 # --- paper-repro --------------------------------------------------------------------

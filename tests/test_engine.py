@@ -216,6 +216,74 @@ def test_affinity_leaves_big_os_one_thread_past_the_fast_cores(
     assert _trace("affinity", threads, *axes) != _trace("big-os", threads, *axes)
 
 
+# --- affinity's filter stage ---------------------------------------------------
+
+
+class _FilterPromoting(policies.CriticalityAware):
+    """Affinity as it was with filter-stage promotion: after each filter CTU
+    a slow-core thread moves to the lowest idle fast core. Counts its calls
+    and the moves it returns."""
+
+    calls = moves = 0
+
+    def on_filter_ctu_complete(self, state, thread):
+        self.calls += 1
+        if not state.on_little(thread):
+            return []
+        idle_big = state.idle_big_cores()
+        if idle_big:
+            self.moves += 1
+            return [policies.MigrateSelf(idle_big[0])]
+        return []
+
+
+class _NoPromotion(policies.CriticalityAware):
+    """Affinity without the guarded promotion of a slow-core thread."""
+
+    def on_recon_ctu_complete(self, state, thread, coord):
+        return []
+
+
+def _simulate_with(policy, cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "make_policy", lambda kind: policy)
+        return engine.simulate(cfg)[0]
+
+
+@settings(max_examples=200)
+@given(n_big=st.integers(1, 4), n_little=st.integers(1, 4), ratio=st.floats(1.5, 6.0),
+       pick=st.integers(0, 7), kappa=st.floats(0.0, 0.3), simd=st.booleans(),
+       overhead=st.sampled_from([0.0, 100e-6]), sigma=st.sampled_from([None, 0.4, 1.2]),
+       frames=st.integers(1, 2), rows=st.integers(1, 8), cols=st.integers(1, 8))
+@example(n_big=1, n_little=1, ratio=2.0, pick=1, kappa=0.0, simd=False, overhead=0.0,
+         sigma=None, frames=1, rows=4, cols=1)
+def test_affinity_filter_stage_promotion_never_acts(
+        n_big, n_little, ratio, pick, kappa, simd, overhead, sigma, frames, rows, cols):
+    """After the barrier's split every fast core holds a thread, or no thread
+    is on a slow core, so a filter-stage promotion finds nothing to do: with
+    it, affinity's trace is the same, and it never deadlocks either way."""
+    plat = Platform(
+        clusters=((CoreType("big", 1000.0, 1.0, 0.1), n_big),
+                  (CoreType("little", 1000.0 / ratio, 0.3, 0.05), n_little)),
+        base_power_w=1.0, memory_contention=kappa,
+    )
+    cfg = _config(GridDims(rows, cols), "affinity", 1 + pick % plat.n_cores, phi=0.15,
+                  frames=frames, overhead=overhead, sigma=sigma, seed=rows * cols,
+                  simd=simd, platform=plat)
+    promoting = _FilterPromoting()
+    assert _simulate_with(promoting, cfg) == engine.simulate(cfg)[0]
+    assert promoting.calls > 0 and promoting.moves == 0
+
+
+def test_affinity_without_promotion_deadlocks():
+    """Negative control for the liveness above: a fast thread that hands its
+    core over at a row end queues for a slow core, while the slow-core
+    threads stall on its row; only a promotion frees a core."""
+    cfg = _config(GridDims(17, 30), "affinity", 5, phi=0.15, sigma=0.4, seed=7)
+    with pytest.raises(engine.DeadlockError, match="waits=slow-core queue"):
+        _simulate_with(_NoPromotion(), cfg)
+
+
 # --- trace structure ------------------------------------------------------------
 
 
@@ -355,6 +423,32 @@ def test_simulate_cells_raises_a_shared_input_error_before_any_cell(monkeypatch,
     monkeypatch.setattr(engine, "simulate", broken)
     with pytest.raises(TypeError):
         engine.simulate_cells(base, cells)
+
+
+def test_simulate_cells_shares_one_cost_table(monkeypatch):
+    """The table generated before the first cell is the one every cell
+    simulates on, and each cell reports what it reports alone."""
+    calls = []
+    generate = engine.generate
+    monkeypatch.setattr(engine, "generate", lambda *a: calls.append(a) or generate(*a))
+    base = _config(GridDims(3, 4), phi=0.15, sigma=0.4, seed=3, frames=2)
+    cells = [("big-os", 2, False), ("affinity", 5, True), ("static", 6, False)]
+    results = engine.simulate_cells(base, cells)
+    assert len(calls) == 1
+    for kind, threads, simd in cells:
+        policy = replace(base.policy, kind=kind, threads=threads)
+        alone = engine.simulate(replace(base, policy=policy, simd=simd))[1]
+        assert results[(kind, threads, simd)] == alone
+
+
+def test_config_cost_table_must_fit_and_is_not_compared():
+    cfg = _config(GridDims(2, 3), frames=2)
+    shared = replace(cfg, costs=tuple(cfg.cost_models()))
+    assert shared == cfg and hash(shared) == hash(cfg)
+    assert all(a is b for a, b in zip(shared.cost_models(), shared.costs, strict=True))
+    for change in (dict(frames=1), dict(dims=GridDims(3, 2))):
+        with pytest.raises(ValueError, match="cost table does not match"):
+            replace(shared, **change)
 
 
 def test_cells_with_one_schedule_are_simulated_once(monkeypatch):

@@ -314,12 +314,6 @@ def test_filter_stage_start_noop_for_base_policies():
         assert make_policy(kind).filter_stage_start(state) == []
 
 
-def test_filter_promotion_takes_lowest_idle_big():
-    state = _state({0: 4, 1: 1}, {0: None, 1: None}, 17)
-    actions = make_policy("affinity").on_filter_ctu_complete(state, 0)
-    assert actions == [MigrateSelf(0)]
-
-
 def test_filter_promotion_waits_when_bigs_busy():
     state = _state({0: 4, 1: 0, 2: 1, 3: 2, 4: 3}, {t: None for t in range(5)}, 17)
     assert make_policy("affinity").on_filter_ctu_complete(state, 0) == []
@@ -331,6 +325,8 @@ def test_filter_big_thread_never_demotes():
 
 
 def test_filter_hooks_noop_for_base_policies():
+    """Every policy, affinity too, inherits the base filter-CTU hook: none
+    moves a slow-core thread after a filter CTU, even with fast cores idle."""
     state = _state({0: 4, 1: 1}, {0: None, 1: None}, 17)
-    for kind in ("big-os", "little", "static"):
+    for kind in POLICY_KINDS:
         assert make_policy(kind).on_filter_ctu_complete(state, 0) == []
